@@ -22,10 +22,6 @@ print("softmax rows sum to", ad.softmax(x).data.sum(axis=1))
 print("matmul (4,3)@(3,2) ->", ad.matmul(x, w).shape)
 ad.active_graph().clear()
 
-# the same ops are reachable through the generic dispatcher
-probs = ad.apply_primitive("softmax", Tensor([[1.0, 0.0, -1.0]]))
-print("apply_primitive softmax:", probs.data.round(4))
-
 # --- reverse-mode gradients --------------------------------------------------
 # loss = sum(x * x) has the textbook gradient 2x
 x.zero_grad()

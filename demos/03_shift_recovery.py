@@ -13,7 +13,7 @@ import numpy as np
 from tsadapt.accup import AccupConfig
 from tsadapt.adapt import run_stream
 from tsadapt.backbone import EncoderConfig, Model, pretrain_source, predict
-from tsadapt.baselines import StrategyConfig, run_baseline_stream
+from tsadapt.baselines import StrategyConfig
 from tsadapt.data import generate_shifted_pair, make_stream
 from tsadapt.experiment import HYPERPARAM_PRESETS, default_synthetic_scenario
 from tsadapt.metrics import macro_f1
@@ -48,7 +48,7 @@ print(f"\nstreaming {len(stream)} batches of 32 through each strategy:")
 
 rows = []
 for kind in ("source", "bn-stats", "tent", "pseudo-label"):
-    record = run_baseline_stream(model, stream, StrategyConfig(kind, lr=1e-3))
+    record = run_stream(model, stream, StrategyConfig(kind, lr=1e-3))
     rows.append((kind, record.macro_f1, record.wall_ms))
 
 config = AccupConfig(**HYPERPARAM_PRESETS["synthetic"])

@@ -3,9 +3,9 @@
 The package is organized around a small float64 autodiff engine
 (`tsadapt.autodiff`), a three-block convolutional backbone
 (`tsadapt.backbone`), time-series augmentations (`tsadapt.augment`), the
-adaptation math (`tsadapt.accup`), the single-pass streaming loop
-(`tsadapt.adapt`), reference baselines (`tsadapt.baselines`), dataset and
-generator utilities (`tsadapt.data`), and the evaluation layer
+adaptation math (`tsadapt.accup`), the single-pass streaming loop shared by
+every strategy (`tsadapt.adapt`), reference baselines (`tsadapt.baselines`),
+dataset and generator utilities (`tsadapt.data`), and the evaluation layer
 (`tsadapt.metrics`, `tsadapt.experiment`, `tsadapt.cli`).
 """
 
@@ -23,9 +23,9 @@ from .accup import (
 )
 from .adapt import AdaptState, LayerMask, RunRecord, adapt_batch, run_stream
 from .augment import AugmentSpec, apply_augment
-from .autodiff import Tensor, apply_primitive, backward, no_grad
+from .autodiff import Tensor, backward, no_grad
 from .backbone import EncoderConfig, Model, classify, encode, pretrain_source
-from .baselines import StrategyConfig, baseline_adapt_batch, run_baseline_stream
+from .baselines import StrategyConfig, baseline_adapt_batch
 from .data import (
     DatasetMeta,
     ShiftSpec,
@@ -42,10 +42,10 @@ __all__ = [
     "AccupConfig", "AdaptState", "AugmentSpec", "DatasetMeta", "EncoderConfig",
     "LayerMask", "MacroF1Report", "Model", "PrototypeSet", "RunRecord",
     "ShiftSpec", "StrategyConfig", "SupportSet", "Tensor", "TimeSeriesBatch",
-    "adapt_batch", "apply_augment", "apply_primitive", "backward",
+    "adapt_batch", "apply_augment", "backward",
     "baseline_adapt_batch", "classify", "compute_prototypes",
     "contrastive_loss", "encode", "ensemble", "entropy_compare",
     "generate_shifted_pair", "load_dataset", "macro_f1", "make_stream",
-    "no_grad", "pretrain_source", "prototype_logits", "run_baseline_stream",
-    "run_stream", "shannon_entropy", "update_support",
+    "no_grad", "pretrain_source", "prototype_logits", "run_stream",
+    "shannon_entropy", "update_support",
 ]

@@ -23,9 +23,6 @@ from .autodiff import Tensor
 from .augment import AugmentSpec
 from .errors import ConfigurationError, ContractError, NumericDomainError
 
-CLASSIFIER_INIT = "classifier-init"
-STREAM = "stream"
-
 
 def shannon_entropy(logits) -> np.ndarray:
     """Entropy in nats of softmax(logits) over the last axis.
@@ -49,8 +46,6 @@ class SupportEntry:
     feature: np.ndarray
     logits: np.ndarray
     entropy: float
-    pseudo_label: int
-    origin: str
 
 
 class SupportSet:
@@ -77,8 +72,6 @@ class SupportSet:
                     feature=weight[k].copy(),
                     logits=onehot,
                     entropy=0.0,
-                    pseudo_label=k,
-                    origin=CLASSIFIER_INIT,
                 )
             )
         return s
@@ -106,8 +99,7 @@ def update_support(support: SupportSet, features, logits, entropies, pseudo_labe
         if y != int(p.argmax()):
             raise ContractError("stream entry label must be the argmax of its logits")
         support._entries[y].append(
-            SupportEntry(feature=f.copy(), logits=p.copy(), entropy=float(h),
-                         pseudo_label=y, origin=STREAM)
+            SupportEntry(feature=f.copy(), logits=p.copy(), entropy=float(h))
         )
     return support
 
@@ -317,20 +309,18 @@ class AccupConfig:
 
 
 def export_support_set(path, support: SupportSet) -> None:
-    """Dump the support set for inspection: tensor container + JSON metadata."""
+    """Dump the support set for inspection: tensor container + JSON metadata.
+
+    Row i of class c's tensors is entry i of that class; row 0 is the entry
+    seeded from the classifier weights.
+    """
     tensors = {}
-    meta = {"n_classes": support.n_classes, "feature_dim": support.feature_dim,
-            "classes": []}
+    meta = {"n_classes": support.n_classes, "feature_dim": support.feature_dim}
     for c in range(support.n_classes):
         entries = support.entries(c)
         tensors[f"class{c}.features"] = np.stack([e.feature for e in entries])
         tensors[f"class{c}.logits"] = np.stack([e.logits for e in entries])
         tensors[f"class{c}.entropy"] = np.array([e.entropy for e in entries])
-        meta["classes"].append(
-            {"label": c,
-             "origins": [e.origin for e in entries],
-             "pseudo_labels": [e.pseudo_label for e in entries]}
-        )
     ad.save_tensors(path, tensors)
     with open(f"{path}.json", "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)

@@ -1,9 +1,11 @@
-"""Single-pass streaming adaptation loop.
+"""Single-pass streaming loop for every strategy, and the ACCUP step.
 
 Each arriving batch is seen exactly once: predict with the current model,
-grow the support set, rebuild prototypes, take one optimizer step on the
-masked encoder parameters. Predictions are always the pre-update forward.
-Labels never enter this module; batches are bare value arrays.
+then update. Under ACCUP the update grows the support set, rebuilds
+prototypes and takes one optimizer step on the masked encoder parameters;
+the baselines step as `baselines` describes. Predictions are always the
+pre-update forward. Labels never reach a step function; batches are bare
+value arrays, and `run_stream` uses labels only to score the run.
 
 A run owns its AdaptState exclusively (the loop is inherently sequential);
 independent runs over different seeds or configs may execute in parallel.
@@ -22,7 +24,9 @@ from . import autodiff as ad
 from .accup import AccupConfig, EnsembleOutput, PrototypeSet, SupportSet
 from .augment import apply_augment
 from .backbone import Model, classify, encode
+from .baselines import BaselineState, StrategyConfig, baseline_adapt_batch
 from .errors import ConfigurationError, ContractError, NumericDomainError
+from .metrics import MacroF1Report, macro_f1
 from .optim import Adam
 
 
@@ -61,6 +65,8 @@ class RunRecord:
     batch_predictions: list = field(default_factory=list)
     macro_f1: float | None = None
     wall_ms: float = 0.0
+    # the full score behind macro_f1; experiments aggregate it, JSON omits it
+    report: MacroF1Report | None = field(default=None, compare=False, repr=False)
 
     def all_predictions(self) -> np.ndarray:
         if not self.batch_predictions:
@@ -244,19 +250,20 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
 def run_stream(
     model: Model,
     stream,
-    config: AccupConfig,
+    config: AccupConfig | StrategyConfig,
     seed: int = 0,
     layer_mask: LayerMask | None = None,
     config_hash: str = "",
 ) -> RunRecord:
-    """Fold adapt_batch over an ordered finite stream of batches.
+    """Fold one strategy's step over an ordered finite stream of batches.
 
-    The input model is cloned, never mutated. Stream items may be bare value
-    arrays or objects with .values/.labels; labels, when present on every
-    batch, are used only to score the collected predictions afterwards.
+    An AccupConfig runs ACCUP (adapt_batch); a StrategyConfig runs that
+    baseline (baselines.baseline_adapt_batch), which ignores seed and
+    layer_mask. The input model is cloned, never mutated. Stream items may
+    be bare value arrays or objects with .values/.labels; labels, when
+    present on every batch, are used only to score the collected
+    predictions afterwards.
     """
-    from .metrics import macro_f1
-
     batches = list(stream)
     if not batches:
         raise ContractError("empty stream")
@@ -269,17 +276,22 @@ def run_stream(
             values.append(np.asarray(b.values, dtype=np.float64))
             labels.append(None if b.labels is None else np.asarray(b.labels))
 
-    state = AdaptState(model.clone(), config, layer_mask, seed)
-    record = RunRecord(strategy="accup", seed=seed, config_hash=config_hash)
+    if isinstance(config, StrategyConfig):
+        state, step = BaselineState(model.clone(), config), baseline_adapt_batch
+        strategy = config.kind
+    else:
+        state, step = AdaptState(model.clone(), config, layer_mask, seed), adapt_batch
+        strategy = "accup"
+    record = RunRecord(strategy=strategy, seed=seed, config_hash=config_hash)
     start = time.perf_counter()
     for v in values:
-        preds, loss_value, state = adapt_batch(state, v)
+        preds, loss_value, state = step(state, v)
         record.batch_predictions.append(preds.tolist())
         record.batch_losses.append(loss_value)
     record.wall_ms = (time.perf_counter() - start) * 1e3
     if all(l is not None for l in labels):
-        truth = np.concatenate(labels)
-        record.macro_f1 = macro_f1(
-            record.all_predictions(), truth, model.n_classes
-        ).macro_f1
+        record.report = macro_f1(
+            record.all_predictions(), np.concatenate(labels), model.n_classes
+        )
+        record.macro_f1 = record.report.macro_f1
     return record

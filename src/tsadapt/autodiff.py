@@ -564,38 +564,6 @@ def max_pool1d(x: Tensor, width: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# generic dispatch
-# ---------------------------------------------------------------------------
-
-PRIMITIVES = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scalar-mul": scalar_mul,
-    "matmul": matmul,
-    "relu": relu,
-    "exp": exp,
-    "log": log,
-    "mean": mean,
-    "sum": tensor_sum,
-    "softmax": softmax,
-    "l2-norm": l2_norm,
-    "cosine-similarity": cosine_pairs,
-    "concatenate": concat,
-    "index-select": index_select,
-}
-
-
-def apply_primitive(kind: str, *inputs, **kwargs) -> Tensor:
-    """Apply one of the named primitives; unknown kinds are contract errors."""
-    try:
-        fn = PRIMITIVES[kind]
-    except KeyError:
-        raise ContractError(f"unknown primitive kind {kind!r}") from None
-    return fn(*inputs, **kwargs)
-
-
-# ---------------------------------------------------------------------------
 # parameter snapshots ("TTAW" little-endian container)
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Reference adaptation strategies sharing the streaming protocol.
+"""Reference adaptation strategies; `adapt.run_stream` streams them.
 
 source       frozen forward with the pretrained running statistics
 bn-stats     forward with current-batch BN statistics, no parameter update
@@ -10,13 +10,10 @@ pseudo-label bn-stats forward, then one cross-entropy step against the
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from . import autodiff as ad
 from .accup import shannon_entropy
-from .adapt import RunRecord
 from .backbone import Model, cross_entropy, forward
 from .errors import ConfigurationError, ContractError
 from .optim import Adam
@@ -55,76 +52,38 @@ class BaselineState:
 
 
 def baseline_adapt_batch(state: BaselineState, values: np.ndarray):
-    """Consume one unlabeled batch under the configured strategy."""
+    """Consume one unlabeled batch under the configured strategy.
+
+    Returns (predictions, loss value, state), like `adapt.adapt_batch`. The
+    predictions come from the pre-update forward; strategies that take no
+    step report a loss of 0.0.
+    """
     if not isinstance(values, np.ndarray):
         raise ContractError(
             "baseline_adapt_batch takes a bare (B, Cin, L) value array"
         )
     kind = state.config.kind
-    if kind == "source":
+    if not state.config.takes_step():
+        bn_mode = "running-stats" if kind == "source" else "train-stats"
         with ad.no_grad():
-            _, logits = forward(state.model, values, bn_mode="running-stats")
+            _, logits = forward(state.model, values, bn_mode=bn_mode)
         preds = logits.data.argmax(axis=1)
-    elif kind == "bn-stats":
-        with ad.no_grad():
-            _, logits = forward(state.model, values, bn_mode="train-stats")
-        preds = logits.data.argmax(axis=1)
-    elif kind == "tent":
+        loss_value = 0.0
+    else:
         _, logits = forward(state.model, values, bn_mode="train-stats")
         preds = logits.data.argmax(axis=1)
-        p = ad.softmax(logits)
-        rows = ad.scalar_mul(ad.tensor_sum(ad.mul(p, ad.log(p)), axis=-1), -1.0)
-        loss = ad.mean(rows)
+        if kind == "tent":
+            p = ad.softmax(logits)
+            rows = ad.scalar_mul(ad.tensor_sum(ad.mul(p, ad.log(p)), axis=-1), -1.0)
+            loss = ad.mean(rows)
+        else:  # pseudo-label
+            loss = cross_entropy(logits, preds)
         state.optimizer.zero_grad()
         ad.backward(loss)
         state.optimizer.step()
-    else:  # pseudo-label
-        _, logits = forward(state.model, values, bn_mode="train-stats")
-        preds = logits.data.argmax(axis=1)
-        loss = cross_entropy(logits, preds)
-        state.optimizer.zero_grad()
-        ad.backward(loss)
-        state.optimizer.step()
+        loss_value = loss.item()
     state.step += 1
-    return preds, state
-
-
-def run_baseline_stream(
-    model: Model,
-    stream,
-    config: StrategyConfig,
-    seed: int = 0,
-    config_hash: str = "",
-) -> RunRecord:
-    """Streaming loop for the baselines; same record format as run_stream."""
-    from .metrics import macro_f1
-
-    batches = list(stream)
-    if not batches:
-        raise ContractError("empty stream")
-    values, labels = [], []
-    for b in batches:
-        if isinstance(b, np.ndarray):
-            values.append(b)
-            labels.append(None)
-        else:
-            values.append(np.asarray(b.values, dtype=np.float64))
-            labels.append(None if b.labels is None else np.asarray(b.labels))
-
-    state = BaselineState(model.clone(), config)
-    record = RunRecord(strategy=config.kind, seed=seed, config_hash=config_hash)
-    start = time.perf_counter()
-    for v in values:
-        preds, state = baseline_adapt_batch(state, v)
-        record.batch_predictions.append(preds.tolist())
-        record.batch_losses.append(0.0)
-    record.wall_ms = (time.perf_counter() - start) * 1e3
-    if all(l is not None for l in labels):
-        truth = np.concatenate(labels)
-        record.macro_f1 = macro_f1(
-            record.all_predictions(), truth, model.n_classes
-        ).macro_f1
-    return record
+    return preds, loss_value, state
 
 
 def mean_batch_entropy(model: Model, values: np.ndarray, bn_mode: str = "train-stats") -> float:

@@ -13,11 +13,19 @@ from pathlib import Path
 
 from .accup import AccupConfig
 from .backbone import EncoderConfig, Model, pretrain_source, save_model
-from .data import DatasetMeta, ShiftSpec, generate_shifted_pair, load_dataset, save_dataset
+from .data import (
+    DatasetMeta,
+    ShiftSpec,
+    generate_shifted_pair,
+    load_dataset,
+    load_meta,
+    save_dataset,
+)
 from .errors import TsadaptError
 from .experiment import (
     ABLATION_PRESETS,
     HYPERPARAM_PRESETS,
+    STRATEGIES,
     DirectoryData,
     ExperimentConfig,
     apply_preset,
@@ -86,10 +94,6 @@ def cmd_generate_data(args) -> int:
     meta = DatasetMeta("custom", args.channels, source.n_classes, args.length,
                        n_train=args.n_source, n_test=args.n_target)
     save_dataset(args.out, train, test, meta)
-    with open(Path(args.out) / "meta.json", "w") as f:
-        json.dump({"channels": meta.channels, "classes": meta.classes,
-                   "length": meta.length, "n_train": meta.n_train,
-                   "n_test": meta.n_test}, f, indent=2, sort_keys=True)
     print(f"wrote source/target splits under {args.out}")
     return 0
 
@@ -98,11 +102,8 @@ def _experiment_from_args(args) -> ExperimentConfig:
     if args.config:
         config = ExperimentConfig.from_json_file(args.config)
     else:
-        with open(Path(args.data) / "meta.json") as f:
-            m = json.load(f)
-        meta = DatasetMeta("custom", m["channels"], m["classes"], m["length"])
         config = ExperimentConfig(
-            data=DirectoryData(path=args.data, meta=meta),
+            data=DirectoryData(path=args.data, meta=load_meta(args.data)),
             output_dir=args.out,
         )
     overrides = {}
@@ -207,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="experiment JSON file")
         p.add_argument("--data", default=None, help="dataset directory")
         p.add_argument("--model", default=None, help="pretrained snapshot to load")
-        p.add_argument("--strategy", choices=("accup", "source", "bn-stats", "tent",
-                                              "pseudo-label"), default=None)
+        p.add_argument("--strategy", choices=STRATEGIES, default=None)
         p.add_argument("--seeds", default=None, help="comma-separated run seeds")
         p.add_argument("--batch-size", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None, help="pretraining epochs")

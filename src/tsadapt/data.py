@@ -8,8 +8,9 @@ Cin*L values) is accepted for imports.
 
 from __future__ import annotations
 
+import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -163,10 +164,20 @@ def load_csv_split(path, meta: DatasetMeta) -> TimeSeriesBatch:
 
 def save_dataset(directory, train: TimeSeriesBatch, test: TimeSeriesBatch,
                  meta: DatasetMeta) -> None:
+    """Write both splits plus the directory's meta.json (see load_meta)."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     save_split(d / "train.ttsd", train, meta.classes)
     save_split(d / "test.ttsd", test, meta.classes)
+    with open(d / "meta.json", "w") as f:
+        json.dump(asdict(meta), f, indent=2, sort_keys=True)
+
+
+def load_meta(directory) -> DatasetMeta:
+    """Read the DatasetMeta that save_dataset wrote into a directory."""
+    with open(Path(directory) / "meta.json") as f:
+        m = json.load(f)
+    return DatasetMeta(**{"name": "custom", **m})
 
 
 def load_dataset(directory, meta: DatasetMeta):

@@ -1,8 +1,10 @@
 """Experiment configuration, orchestration, sweeps, and summary files.
 
-An experiment pretrains (or loads) a source model, replays the target stream
-once per seed under the chosen strategy, and writes a JSON summary plus a CSV
-with one row per (scenario, strategy, seed).
+An experiment loads its splits once, pretrains (or loads) a source model per
+seed, replays the target stream once per seed under the chosen strategy with
+`adapt.run_stream`, and writes a JSON summary plus a CSV with one row per
+(scenario, strategy, seed). Runs are scored by `run_stream`; the summary
+aggregates those scores.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .accup import AccupConfig
-from .adapt import LayerMask, RunRecord, run_stream
+from .adapt import LayerMask, run_stream
 from .backbone import EncoderConfig, Model, load_model, pretrain_source, save_model
 from .baselines import KINDS as BASELINE_KINDS
-from .baselines import StrategyConfig, run_baseline_stream
+from .baselines import StrategyConfig
 from .data import DatasetMeta, ShiftSpec, generate_shifted_pair, load_dataset, make_stream
-from .errors import ConfigurationError, TsadaptError
-from .metrics import MacroF1Report, aggregate_reports, macro_f1
+from .errors import ConfigurationError, ConformanceError, TsadaptError
+from .metrics import aggregate_reports
 
 STRATEGIES = ("accup",) + BASELINE_KINDS
 
@@ -219,7 +221,12 @@ def _load_splits(config: ExperimentConfig):
 def _build_model(config: ExperimentConfig, train, n_classes: int, seed: int,
                  epoch_losses=None) -> Model:
     if config.model_path is not None:
-        return load_model(config.model_path)
+        model = load_model(config.model_path)
+        if model.n_classes != n_classes:
+            raise ConformanceError(
+                f"model snapshot has {model.n_classes} classes, data has {n_classes}"
+            )
+        return model
     enc = EncoderConfig.from_dict(
         {"in_channels": train.values.shape[1], **config.encoder}
     )
@@ -231,27 +238,6 @@ def _build_model(config: ExperimentConfig, train, n_classes: int, seed: int,
     )
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int):
-    train, target = _load_splits(config)
-    n_classes = (
-        config.data.source.n_classes
-        if isinstance(config.data, SyntheticData)
-        else config.data.meta.classes
-    )
-    model = _build_model(config, train, n_classes, seed)
-    stream = make_stream(target, config.batch_size)
-    chash = config_hash(config)
-    if config.strategy == "accup":
-        record = run_stream(model, stream, config.accup, seed=seed,
-                            layer_mask=config.layer_mask, config_hash=chash)
-    else:
-        record = run_baseline_stream(
-            model, stream, StrategyConfig(config.strategy, lr=config.baseline_lr),
-            seed=seed, config_hash=chash,
-        )
-    return record, model
-
-
 def run_experiment(config: ExperimentConfig, write: bool = True):
     """Run every seed, aggregate mean and std, write summary files.
 
@@ -260,22 +246,27 @@ def run_experiment(config: ExperimentConfig, write: bool = True):
     saves after pretraining). Returns (MacroF1Report, list of RunRecords).
     """
     start = time.perf_counter()
-    try:
-        outcome = [_run_one_seed(config, seed) for seed in config.seeds]
-    except TsadaptError as err:
-        raise type(err)(f"scenario {config.scenario!r} ({config.strategy}): {err}") from err
-    records = [rec for rec, _ in outcome]
-
-    _, target = _load_splits(config)
+    chash = config_hash(config)
     n_classes = (
         config.data.source.n_classes
         if isinstance(config.data, SyntheticData)
         else config.data.meta.classes
     )
-    reports = []
-    if target.labels is not None:
-        for rec in records:
-            reports.append(macro_f1(rec.all_predictions(), target.labels, n_classes))
+    records, models = [], []
+    try:
+        strategy = (config.accup if config.strategy == "accup"
+                    else StrategyConfig(config.strategy, lr=config.baseline_lr))
+        train, target = _load_splits(config)
+        stream = make_stream(target, config.batch_size)
+        for seed in config.seeds:
+            model = _build_model(config, train, n_classes, seed)
+            records.append(run_stream(model, stream, strategy, seed=seed,
+                                      layer_mask=config.layer_mask, config_hash=chash))
+            models.append(model)
+    except TsadaptError as err:
+        raise type(err)(f"scenario {config.scenario!r} ({config.strategy}): {err}") from err
+
+    reports = [rec.report for rec in records if rec.report is not None]
     report = aggregate_reports(reports) if reports else None
 
     if write:
@@ -285,13 +276,13 @@ def run_experiment(config: ExperimentConfig, write: bool = True):
         if config.model_path is not None:
             snapshots["loaded"] = file_sha256(config.model_path)
         else:
-            for (rec, model), seed in zip(outcome, config.seeds):
+            for model, seed in zip(models, config.seeds):
                 path = out / f"model_seed{seed}.ttaw"
                 save_model(path, model)
                 snapshots[str(seed)] = file_sha256(path)
         summary = {
             "config": config.to_dict(),
-            "config_hash": config_hash(config),
+            "config_hash": chash,
             "model_snapshots": snapshots,
             "report": None if report is None else report.to_dict(),
             "records": [rec.to_dict() for rec in records],

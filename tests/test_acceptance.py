@@ -25,7 +25,7 @@ from tsadapt.adapt import AdaptState, accup_batch, adapt_batch, run_stream
 from tsadapt.augment import AugmentSpec, apply_augment, magnitude_warp
 from tsadapt.autodiff import Tensor
 from tsadapt.backbone import EncoderConfig, Model, pretrain_source
-from tsadapt.baselines import StrategyConfig, run_baseline_stream
+from tsadapt.baselines import StrategyConfig
 from tsadapt.data import TimeSeriesBatch, generate_shifted_pair, make_stream
 from tsadapt.errors import ContractError
 from tsadapt.experiment import HYPERPARAM_PRESETS, default_synthetic_scenario
@@ -211,11 +211,11 @@ def test_criterion_05_reduction_identities(pretrained, shift_data):
                         lr=0.0, bn_policy="running"),
             seed=0,
         )
-        source = run_baseline_stream(pretrained, stream, StrategyConfig("source"))
+        source = run_stream(pretrained, stream, StrategyConfig("source"))
         assert reduced.batch_predictions == source.batch_predictions
 
-        tent0 = run_baseline_stream(pretrained, stream, StrategyConfig("tent", lr=0.0))
-        bn = run_baseline_stream(pretrained, stream, StrategyConfig("bn-stats"))
+        tent0 = run_stream(pretrained, stream, StrategyConfig("tent", lr=0.0))
+        bn = run_stream(pretrained, stream, StrategyConfig("bn-stats"))
         assert tent0.batch_predictions == bn.batch_predictions
 
         rng = np.random.default_rng(505)
@@ -250,9 +250,9 @@ def test_criterion_06_synthetic_shift_recovery():
             full_run = time.perf_counter() - start
             assert full_run < 300.0, f"seed {seed} took {full_run:.1f}s"
             source_scores.append(
-                run_baseline_stream(model, stream, StrategyConfig("source")).macro_f1)
+                run_stream(model, stream, StrategyConfig("source")).macro_f1)
             bn_scores.append(
-                run_baseline_stream(model, stream, StrategyConfig("bn-stats")).macro_f1)
+                run_stream(model, stream, StrategyConfig("bn-stats")).macro_f1)
 
         source_mean = np.mean(source_scores)
         bn_mean = np.mean(bn_scores)

@@ -5,8 +5,6 @@ import pytest
 
 import tsadapt.autodiff as ad
 from tsadapt.accup import (
-    CLASSIFIER_INIT,
-    STREAM,
     AccupConfig,
     SupportSet,
     compute_prototypes,
@@ -181,9 +179,8 @@ class TestSupportSet:
         assert len(support) == 4
         for c in range(4):
             (entry,) = support.entries(c)
-            assert entry.origin == CLASSIFIER_INIT
             assert entry.entropy == 0.0
-            assert entry.pseudo_label == c
+            assert int(entry.logits.argmax()) == c
 
     def test_empty_update_is_noop(self):
         support = SupportSet.from_classifier(np.eye(3, 5))
@@ -208,8 +205,7 @@ class TestSupportSet:
                        shannon_entropy(logits), logits.argmax(axis=1))
         for c in range(4):
             for entry in support.entries(c):
-                if entry.origin == STREAM:
-                    assert entry.pseudo_label == int(entry.logits.argmax())
+                assert int(entry.logits.argmax()) == c
 
     def test_mismatched_label_rejected(self):
         support = SupportSet.from_classifier(np.eye(3, 5))

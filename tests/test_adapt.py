@@ -1,19 +1,31 @@
-"""Streaming-loop tests: single-pass discipline, causality, reductions."""
+"""Streaming-loop tests: single-pass discipline, causality, reductions.
+
+The stream-discipline tests of TestRunStream run every strategy in
+experiment.STRATEGIES through the one loop.
+"""
 
 import numpy as np
 import pytest
 
 from tsadapt.accup import AccupConfig
 from tsadapt.adapt import AdaptState, LayerMask, RunRecord, adapt_batch, run_stream
-from tsadapt.baselines import StrategyConfig, run_baseline_stream
+from tsadapt.baselines import StrategyConfig
 from tsadapt.data import TimeSeriesBatch, make_stream
 from tsadapt.errors import ConfigurationError, ContractError
+from tsadapt.experiment import STRATEGIES
 
 
 def quiet_config(**overrides):
     base = dict(k_support=10, eta=20.0, tau=0.7, lr=0.0)
     base.update(overrides)
     return AccupConfig(**base)
+
+
+def stepping_config(strategy: str):
+    """A config under which the named strategy updates its model."""
+    if strategy == "accup":
+        return quiet_config(use_contrast=True, lr=1e-3)
+    return StrategyConfig(strategy, lr=1e-3)
 
 
 def param_vector(model):
@@ -113,53 +125,70 @@ class TestModuleSwitchWiring:
 
 
 class TestRunStream:
+    # each discipline test loops over STRATEGIES; its failure message names
+    # the strategy
+
     def test_empty_stream_rejected(self, pretrained):
-        with pytest.raises(ContractError):
-            run_stream(pretrained, [], quiet_config())
+        for strategy in STRATEGIES:
+            with pytest.raises(ContractError):
+                run_stream(pretrained, [], stepping_config(strategy))
 
     def test_input_model_is_not_mutated(self, pretrained, shift_data):
         _, target = shift_data
         before = param_vector(pretrained)
-        bn_before = [blk.bn.running_mean.copy() for blk in pretrained.blocks]
-        run_stream(pretrained, make_stream(target, 32)[:4],
-                   quiet_config(use_contrast=True, lr=1e-3), seed=0)
-        np.testing.assert_array_equal(param_vector(pretrained), before)
-        for blk, rm in zip(pretrained.blocks, bn_before):
-            np.testing.assert_array_equal(blk.bn.running_mean, rm)
+        bn_before = [(blk.bn.running_mean.copy(), blk.bn.running_var.copy())
+                     for blk in pretrained.blocks]
+        for strategy in STRATEGIES:
+            run_stream(pretrained, make_stream(target, 32)[:4],
+                       stepping_config(strategy), seed=0)
+            np.testing.assert_array_equal(param_vector(pretrained), before,
+                                          err_msg=strategy)
+            for blk, (rm, rv) in zip(pretrained.blocks, bn_before):
+                np.testing.assert_array_equal(blk.bn.running_mean, rm, err_msg=strategy)
+                np.testing.assert_array_equal(blk.bn.running_var, rv, err_msg=strategy)
 
     def test_prefix_causality(self, pretrained, shift_data):
         _, target = shift_data
         stream = make_stream(target, 32)
-        full = run_stream(pretrained, stream, quiet_config(use_contrast=True, lr=1e-3),
-                          seed=3)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            t = int(rng.integers(1, len(stream)))
-            prefix = run_stream(pretrained, stream[:t],
-                                quiet_config(use_contrast=True, lr=1e-3), seed=3)
-            assert prefix.batch_predictions == full.batch_predictions[:t]
+        for strategy in STRATEGIES:
+            config = stepping_config(strategy)
+            full = run_stream(pretrained, stream, config, seed=3)
+            rng = np.random.default_rng(0)
+            for _ in range(5):
+                t = int(rng.integers(1, len(stream)))
+                prefix = run_stream(pretrained, stream[:t], config, seed=3)
+                assert prefix.batch_predictions == full.batch_predictions[:t], strategy
 
     def test_each_batch_consumed_once(self, pretrained, shift_data):
         _, target = shift_data
-        consumed = []
+        for strategy in STRATEGIES:
+            consumed = []
 
-        def stream():
-            for i, batch in enumerate(make_stream(target, 32)[:4]):
-                consumed.append(i)
-                yield batch
+            def stream():
+                for i, batch in enumerate(make_stream(target, 32)[:4]):
+                    consumed.append(i)
+                    yield batch
 
-        run_stream(pretrained, stream(), quiet_config(), seed=0)
-        assert consumed == [0, 1, 2, 3]
+            run_stream(pretrained, stream(), stepping_config(strategy), seed=0)
+            assert consumed == [0, 1, 2, 3], strategy
 
     def test_labels_only_affect_scoring(self, pretrained, shift_data):
         _, target = shift_data
         stream = make_stream(target, 32)[:6]
         rng = np.random.default_rng(1)
         shuffled = [TimeSeriesBatch(b.values, rng.permutation(b.labels)) for b in stream]
-        a = run_stream(pretrained, stream, quiet_config(use_contrast=True, lr=1e-3), seed=2)
-        b = run_stream(pretrained, shuffled, quiet_config(use_contrast=True, lr=1e-3), seed=2)
-        assert a.batch_predictions == b.batch_predictions
-        assert a.macro_f1 != b.macro_f1
+        for strategy in STRATEGIES:
+            a = run_stream(pretrained, stream, stepping_config(strategy), seed=2)
+            b = run_stream(pretrained, shuffled, stepping_config(strategy), seed=2)
+            assert a.batch_predictions == b.batch_predictions, strategy
+            assert a.macro_f1 != b.macro_f1, strategy
+
+    def test_record_carries_strategy_name(self, pretrained, shift_data):
+        _, target = shift_data
+        for strategy in STRATEGIES:
+            record = run_stream(pretrained, make_stream(target, 32)[:2],
+                                stepping_config(strategy))
+            assert record.strategy == strategy
 
     def test_unlabeled_stream_has_no_score(self, pretrained, shift_data):
         _, target = shift_data
@@ -176,7 +205,7 @@ class TestRunStream:
             lr=0.0, bn_policy="running",
         )
         reduced = run_stream(pretrained, stream, config, seed=0)
-        source = run_baseline_stream(pretrained, stream, StrategyConfig("source"))
+        source = run_stream(pretrained, stream, StrategyConfig("source"))
         assert reduced.batch_predictions == source.batch_predictions
         assert reduced.macro_f1 == source.macro_f1
 

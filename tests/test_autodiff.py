@@ -86,12 +86,6 @@ class TestPrimitiveSemantics:
         both = ad.concat([t, t], axis=0)
         assert both.shape == (6, 2)
 
-    def test_apply_primitive_dispatch(self):
-        out = ad.apply_primitive("add", Tensor([1.0]), Tensor([2.0]))
-        assert out.data[0] == 3.0
-        with pytest.raises(ContractError):
-            ad.apply_primitive("transmogrify", Tensor([1.0]))
-
 
 class TestConv1d:
     def test_identity_kernel(self):

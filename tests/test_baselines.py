@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import tsadapt.autodiff as ad
+from tsadapt.adapt import run_stream
 from tsadapt.backbone import forward
 from tsadapt.baselines import (
+    KINDS,
     BaselineState,
     StrategyConfig,
     baseline_adapt_batch,
     mean_batch_entropy,
-    run_baseline_stream,
 )
 from tsadapt.data import make_stream
 from tsadapt.errors import ConfigurationError, ContractError
@@ -33,7 +34,7 @@ class TestSource:
     def test_equals_plain_batched_inference(self, pretrained, shift_data):
         _, target = shift_data
         stream = make_stream(target, 32)
-        record = run_baseline_stream(pretrained, stream, StrategyConfig("source"))
+        record = run_stream(pretrained, stream, StrategyConfig("source"))
         with ad.no_grad():
             _, logits = forward(pretrained, target.values, "running-stats")
         np.testing.assert_array_equal(record.all_predictions(), logits.data.argmax(axis=1))
@@ -41,7 +42,7 @@ class TestSource:
     def test_never_mutates_anything(self, pretrained, shift_data):
         _, target = shift_data
         rm = [blk.bn.running_mean.copy() for blk in pretrained.blocks]
-        run_baseline_stream(pretrained, make_stream(target, 32)[:3], StrategyConfig("source"))
+        run_stream(pretrained, make_stream(target, 32)[:3], StrategyConfig("source"))
         for blk, before in zip(pretrained.blocks, rm):
             np.testing.assert_array_equal(blk.bn.running_mean, before)
 
@@ -50,8 +51,8 @@ class TestTent:
     def test_zero_lr_equals_bn_stats_bitwise(self, pretrained, shift_data):
         _, target = shift_data
         stream = make_stream(target, 32)
-        tent = run_baseline_stream(pretrained, stream, StrategyConfig("tent", lr=0.0))
-        bn = run_baseline_stream(pretrained, stream, StrategyConfig("bn-stats"))
+        tent = run_stream(pretrained, stream, StrategyConfig("tent", lr=0.0))
+        bn = run_stream(pretrained, stream, StrategyConfig("bn-stats"))
         assert tent.batch_predictions == bn.batch_predictions
 
     def test_touches_only_bn_affine_parameters(self, pretrained, shift_data):
@@ -98,18 +99,21 @@ class TestPseudoLabel:
 
 
 class TestStreamingDiscipline:
+    # test_adapt.py::TestRunStream covers the rest of the stream-level
+    # discipline for every strategy
+
     def test_prefix_causality_all_kinds(self, pretrained, shift_data):
         _, target = shift_data
         stream = make_stream(target, 32)
-        for kind in ("source", "bn-stats", "tent", "pseudo-label"):
+        for kind in KINDS:
             config = StrategyConfig(kind, lr=1e-3)
-            full = run_baseline_stream(pretrained, stream, config)
-            half = run_baseline_stream(pretrained, stream[: len(stream) // 2], config)
-            assert half.batch_predictions == full.batch_predictions[: len(stream) // 2]
+            full = run_stream(pretrained, stream, config)
+            half = run_stream(pretrained, stream[: len(stream) // 2], config)
+            assert half.batch_predictions == full.batch_predictions[: len(stream) // 2], kind
 
     def test_empty_stream_rejected(self, pretrained):
         with pytest.raises(ContractError):
-            run_baseline_stream(pretrained, [], StrategyConfig("source"))
+            run_stream(pretrained, [], StrategyConfig("source"))
 
     def test_labeled_batch_rejected_inside(self, pretrained, shift_data):
         from tsadapt.data import TimeSeriesBatch
@@ -119,8 +123,15 @@ class TestStreamingDiscipline:
         with pytest.raises(ContractError):
             baseline_adapt_batch(state, TimeSeriesBatch(target.values[:4], target.labels[:4]))
 
-    def test_record_carries_strategy_name(self, pretrained, shift_data):
-        _, target = shift_data
-        record = run_baseline_stream(pretrained, make_stream(target, 32)[:2],
-                                     StrategyConfig("bn-stats"))
-        assert record.strategy == "bn-stats"
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stream_records_step_losses(kind, pretrained, shift_data):
+    _, target = shift_data
+    record = run_stream(pretrained, make_stream(target, 32)[:3],
+                        StrategyConfig(kind, lr=1e-3))
+    losses = np.array(record.batch_losses)
+    assert losses.shape == (3,)
+    if StrategyConfig(kind).takes_step():
+        assert np.all(np.isfinite(losses)) and np.all(losses != 0.0)
+    else:
+        np.testing.assert_array_equal(losses, 0.0)

@@ -106,6 +106,19 @@ class TestAdapt:
         ])
         assert code == 4
 
+    def test_directory_written_by_save_dataset(self, tmp_path):
+        from tsadapt.data import DatasetMeta, ShiftSpec, generate_shifted_pair, save_dataset
+
+        train, test = generate_shifted_pair(ShiftSpec(), ShiftSpec(amplitude=0.3),
+                                            (32, 32), seed=0)
+        data = tmp_path / "saved"
+        save_dataset(data, train, test, DatasetMeta("custom", 2, 3, 64))
+        code = main([
+            "adapt", "--data", str(data), "--out", str(tmp_path / "runs"),
+            "--strategy", "source", "--seeds", "0", "--epochs", "1",
+        ])
+        assert code == 0
+
     def test_requires_config_or_data(self):
         assert main(["adapt", "--strategy", "accup"]) == 2
 

@@ -164,6 +164,17 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
         assert summary["model_snapshots"].get("loaded")
 
+    def test_snapshot_class_count_must_match_data(self, tmp_path):
+        from tsadapt.backbone import EncoderConfig, Model, save_model
+        from tsadapt.errors import ConformanceError
+
+        model = Model(EncoderConfig(in_channels=2, filters=(4, 6, 6)), 4, seed=0)
+        path = tmp_path / "model.ttaw"
+        save_model(path, model)
+        config = tiny_experiment(tmp_path, model_path=str(path))
+        with pytest.raises(ConformanceError, match="scenario 'tiny'"):
+            run_experiment(config, write=False)
+
 
 class TestSweep:
     def test_support_size_grid(self, tmp_path):
