@@ -8,6 +8,15 @@ Conventions:
     consumed (and cleared) by backward(); a fresh graph is built on every
     forward pass, never reused across batches
 
+The encoder-block ops (conv1d, batch_norm1d, relu, max_pool1d) return
+C-contiguous (B, C, L) outputs, and their backward functions return
+C-contiguous input gradients: no op hands the next one a transposed view
+that would force a copy. Nothing the size of an activation is kept for
+their backward beyond the tensors the tape already holds: conv1d works tap
+by tap from x instead of keeping its im2col columns, batch_norm1d
+recomputes xhat from x, relu rebuilds its mask from its output, and
+max_pool1d keeps only small-integer window indices.
+
 Broadcasting in add/sub/mul is deliberately narrow: identical shapes, a
 one-element tensor against anything, or a row vector against a matrix.
 Anything else raises ConformanceError.
@@ -261,12 +270,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    mask = a.data > 0
+    out = np.maximum(a.data, 0.0)
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (out > 0),)
 
-    return _emit("relu", (a,), np.where(mask, a.data, 0.0), bwd)
+    return _emit("relu", (a,), out, bwd)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -437,25 +446,37 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             f"conv1d: kernel of width {k} wider than padded input of length "
             f"{length + 2 * padding}"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-    lout = win.shape[2]
-    # (B, Lout, Cin*k) @ (Cin*k, Cout) keeps everything in BLAS
-    cols = win.transpose(0, 2, 1, 3).reshape(bsz * lout, cin * k)
-    w2 = w.data.reshape(cout, cin * k)
-    out = (cols @ w2.T).reshape(bsz, lout, cout).transpose(0, 2, 1) + b.data[None, :, None]
-    lpad = xp.shape[2]
+    lout = (length + 2 * padding - k) // stride + 1
+    # tap j of output t reads x[..., j - padding + stride*t]; padding is the
+    # zero part of the columns, so x itself is never padded or copied whole
+    taps = []
+    for j in range(k):
+        off = j - padding
+        t0 = max(0, -(off // stride))
+        t1 = min(lout, (length - 1 - off) // stride + 1)
+        if t1 > t0:
+            taps.append((j, t0, t1, slice(off + stride * t0, off + stride * (t1 - 1) + 1, stride)))
+    # channel-first columns (B, Cin*k, Lout), so that the product is a
+    # C-contiguous (B, Cout, Lout); they are freed before _emit allocates
+    cols = np.zeros((bsz, cin, k, lout)) if padding else np.empty((bsz, cin, k, lout))
+    for j, t0, t1, src in taps:
+        cols[:, :, j, t0:t1] = x.data[:, :, src]
+    out = w.data.reshape(cout, cin * k) @ cols.reshape(bsz, cin * k, lout)
+    del cols
+    out += b.data[:, None]
 
     def bwd(g):
-        g2 = g.transpose(0, 2, 1).reshape(bsz * lout, cout)
-        dw = (g2.T @ cols).reshape(cout, cin, k)
-        db = g.sum(axis=(0, 2))
-        dcols = (g2 @ w2).reshape(bsz, lout, cin, k).transpose(0, 2, 1, 3)
-        dxp = np.zeros((bsz, cin, lpad))
-        for j in range(k):
-            dxp[:, :, j + stride * np.arange(lout)] += dcols[:, :, :, j]
-        dx = dxp[:, :, padding:padding + length] if padding else dxp
-        return dx, dw, db
+        dw = np.zeros((cout, cin, k))
+        for j, t0, t1, src in taps:
+            dw[:, :, j] = (g[:, :, t0:t1] @ x.data[:, :, src].transpose(0, 2, 1)).sum(axis=0)
+        if not x.requires_grad:  # e.g. the encoder's input batch
+            return None, dw, g.sum(axis=(0, 2))
+        dx = np.zeros((bsz, cin, length))
+        dtap = np.empty((bsz, cin, lout))
+        for j, t0, t1, src in taps:
+            np.matmul(w.data[:, :, j].T, g, out=dtap)
+            dx[:, :, src] += dtap[:, :, t0:t1]
+        return dx, dw, g.sum(axis=(0, 2))
 
     return _emit("conv1d", (x, w, b), out, bwd)
 
@@ -508,34 +529,36 @@ def batch_norm1d(
                 f"batch_norm1d: need at least 2 values per channel, got {m}"
             )
         mu = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu[None, :, None]) * inv[None, :, None]
+        out = x.data - mu[None, :, None]
+        var = np.einsum("bcl,bcl->c", out, out) / m
         mom = state.momentum
         state.running_mean = (1.0 - mom) * state.running_mean + mom * mu
         state.running_var = (1.0 - mom) * state.running_var + mom * var * (m / (m - 1))
-
-        def bwd(g):
-            dgamma = (g * xhat).sum(axis=(0, 2))
-            dbeta = g.sum(axis=(0, 2))
-            gx = g * g_dat[None, :, None]
-            dx = inv[None, :, None] * (
-                gx
-                - gx.mean(axis=(0, 2), keepdims=True)
-                - xhat * (gx * xhat).mean(axis=(0, 2), keepdims=True)
-            )
-            return dx, dgamma, dbeta
-
     else:
-        inv = 1.0 / np.sqrt(state.running_var + eps)
-        xhat = (x.data - state.running_mean[None, :, None]) * inv[None, :, None]
+        # copies: backward must see the statistics this forward used
+        mu, var = state.running_mean.copy(), state.running_var.copy()
+        out = x.data - mu[None, :, None]
+    inv = 1.0 / np.sqrt(var + eps)
+    s = g_dat * inv
+    out *= s[None, :, None]
+    out += b_dat[None, :, None]
 
-        def bwd(g):
-            dgamma = (g * xhat).sum(axis=(0, 2))
-            dbeta = g.sum(axis=(0, 2))
-            return g * (g_dat * inv)[None, :, None], dgamma, dbeta
+    def bwd(g):
+        # xhat is recomputed from x rather than kept alive on the tape
+        xhat = x.data - mu[None, :, None]
+        xhat *= inv[None, :, None]
+        dgamma = np.einsum("bcl,bcl->c", g, xhat)
+        dbeta = g.sum(axis=(0, 2))
+        if mode == "running-stats":
+            return g * s[None, :, None], dgamma, dbeta
+        # s * (g - mean(g) - xhat * mean(g * xhat)), in the buffer of xhat
+        dx = xhat
+        dx *= (-dgamma / m)[None, :, None]
+        dx += g
+        dx -= (dbeta / m)[None, :, None]
+        dx *= s[None, :, None]
+        return dx, dgamma, dbeta
 
-    out = g_dat[None, :, None] * xhat + b_dat[None, :, None]
     return _emit("batch_norm1d", (x, gamma, beta), out, bwd)
 
 
@@ -551,16 +574,22 @@ def max_pool1d(x: Tensor, width: int) -> Tensor:
         )
     lout = length // width
     view = x.data[:, :, : lout * width].reshape(bsz, ch, lout, width)
-    arg = view.argmax(axis=-1)
+    # width - 1 compares over the window view; strict > keeps the first
+    # maximum, as argmax would
+    out = view[..., 0].copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(width - 1))
+    for j in range(1, width):
+        np.copyto(arg, j, where=view[..., j] > out)
+        np.maximum(out, view[..., j], out=out)
 
     def bwd(g):
-        dz = np.zeros((bsz, ch, lout, width))
-        np.put_along_axis(dz, arg[..., None], g[..., None], axis=-1)
         dx = np.zeros((bsz, ch, length))
-        dx[:, :, : lout * width] = dz.reshape(bsz, ch, lout * width)
+        dview = dx[:, :, : lout * width].reshape(bsz, ch, lout, width)
+        for j in range(width):
+            np.copyto(dview[..., j], g, where=arg == j)
         return (dx,)
 
-    return _emit("max_pool1d", (x,), view.max(axis=-1), bwd)
+    return _emit("max_pool1d", (x,), out, bwd)
 
 
 # ---------------------------------------------------------------------------

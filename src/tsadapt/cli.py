@@ -64,15 +64,24 @@ def _accup_from_args(args, base: AccupConfig | None = None) -> AccupConfig:
 
 
 def _meta_from_args(args) -> DatasetMeta:
+    """Shape of a pretraining directory: --profile, else explicit flags over
+    the directory's meta.json, else (2 channels, 3 classes, length 64)."""
     if args.profile:
         return DatasetMeta.profile(args.profile)
-    return DatasetMeta("custom", args.channels, args.classes, args.length)
+    if (Path(args.data) / "meta.json").exists():
+        meta = load_meta(args.data)
+    else:
+        meta = DatasetMeta("custom", 2, 3, 64)
+    flags = {name: getattr(args, name) for name in ("channels", "classes", "length")
+             if getattr(args, name) is not None}
+    return replace(meta, name="custom", **flags) if flags else meta
 
 
 def cmd_pretrain(args) -> int:
     meta = _meta_from_args(args)
     train, _ = load_dataset(args.data, meta)
-    enc = EncoderConfig(in_channels=meta.channels)
+    # the encoder an experiment pretrains when it is given no --model
+    enc = EncoderConfig.from_dict({"in_channels": meta.channels, **ExperimentConfig().encoder})
     model = Model(enc, meta.classes, seed=args.seed)
     pretrain_source(model, train.values, train.labels, epochs=args.epochs,
                     batch_size=args.batch, lr=args.pretrain_lr, seed=args.seed)
@@ -176,9 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--profile", choices=sorted(("ucihar", "mfd", "ssc")), default=None)
-    p.add_argument("--channels", type=int, default=2)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--length", type=int, default=64)
+    p.add_argument("--channels", type=int, default=None,
+                   help="default: the directory's meta.json, else 2")
+    p.add_argument("--classes", type=int, default=None,
+                   help="default: the directory's meta.json, else 3")
+    p.add_argument("--length", type=int, default=None,
+                   help="default: the directory's meta.json, else 64")
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--pretrain-lr", type=float, default=1e-3)

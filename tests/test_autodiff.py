@@ -136,6 +136,55 @@ class TestConv1d:
             out.data, self.naive_conv(x, w, b, stride, padding), rtol=1e-13, atol=1e-13
         )
 
+    @staticmethod
+    def naive_conv_grads(x, w, g, stride, padding):
+        """(dx, dw, db) of sum(g * conv1d(x, w, b)) by scattering every product."""
+        bsz, cin, length = x.shape
+        cout, _, k = w.shape
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+        dxp = np.zeros_like(xp)
+        dw = np.zeros_like(w)
+        for n in range(bsz):
+            for o in range(cout):
+                for t in range(g.shape[2]):
+                    for c in range(cin):
+                        for j in range(k):
+                            dxp[n, c, t * stride + j] += g[n, o, t] * w[o, c, j]
+                            dw[o, c, j] += g[n, o, t] * xp[n, c, t * stride + j]
+        return dxp[:, :, padding:padding + length], dw, g.sum(axis=(0, 2))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("same_padding", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_backward_matches_naive_loop(self, stride, same_padding, k):
+        rng = np.random.default_rng(5)
+        padding = k // 2 if same_padding else 0
+        x = Tensor(rng.normal(size=(2, 3, 11)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, k)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        out = ad.conv1d(x, w, b, stride, padding)
+        g = rng.normal(size=out.shape)
+        ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+        for got, want in zip((x.grad, w.grad, b.grad),
+                             self.naive_conv_grads(x.data, w.data, g, stride, padding)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("length,k,stride,padding", [(1, 5, 1, 2), (2, 5, 2, 4)])
+    def test_taps_that_only_see_padding(self, length, k, stride, padding):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(2, 2, length)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, k)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        out = ad.conv1d(x, w, b, stride, padding)
+        np.testing.assert_allclose(
+            out.data, self.naive_conv(x.data, w.data, b.data, stride, padding),
+            rtol=1e-12, atol=1e-12)
+        g = rng.normal(size=out.shape)
+        ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+        for got, want in zip((x.grad, w.grad, b.grad),
+                             self.naive_conv_grads(x.data, w.data, g, stride, padding)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_kernel_wider_than_padded_input(self):
         with pytest.raises(ConformanceError):
             ad.conv1d(Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 5))),
@@ -174,10 +223,93 @@ class TestBatchNorm:
         np.testing.assert_array_equal(state.running_mean, before[0])
         np.testing.assert_array_equal(state.running_var, before[1])
 
+    @staticmethod
+    def textbook_train_stats(x, gamma, beta, g, eps=1e-5):
+        """Forward, running-stat update and (dx, dgamma, dbeta) by the textbook formulas."""
+        mu = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mu[None, :, None]) * inv[None, :, None]
+        out = gamma[None, :, None] * xhat + beta[None, :, None]
+        gx = g * gamma[None, :, None]
+        dx = inv[None, :, None] * (
+            gx
+            - gx.mean(axis=(0, 2), keepdims=True)
+            - xhat * (gx * xhat).mean(axis=(0, 2), keepdims=True)
+        )
+        m = x.shape[0] * x.shape[2]
+        return out, mu, var * m / (m - 1), (dx, (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2)))
+
+    def test_train_stats_matches_textbook_formula(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(1.5, 2.0, (3, 4, 9)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=4) + 1.0, requires_grad=True)
+        beta = Tensor(rng.normal(size=4), requires_grad=True)
+        g = rng.normal(size=(3, 4, 9))
+        state = BNState(4, momentum=1.0)
+        out = ad.batch_norm1d(x, gamma, beta, state, "train-stats")
+        ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+        want_out, want_mean, want_var, want_grads = self.textbook_train_stats(
+            x.data, gamma.data, beta.data, g)
+        np.testing.assert_allclose(out.data, want_out, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(state.running_mean, want_mean, rtol=1e-10)
+        np.testing.assert_allclose(state.running_var, want_var, rtol=1e-10)
+        for got, want in zip((x.grad, gamma.grad, beta.grad), want_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
     def test_degenerate_batch(self):
         with pytest.raises(DegenerateBatchError):
             ad.batch_norm1d(Tensor(np.ones((1, 2, 1))), Tensor(np.ones(2)),
                             Tensor(np.zeros(2)), BNState(2), "train-stats")
+
+
+class TestMaxPool:
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_ties_match_max_and_route_to_first_maximum(self, width):
+        # small integers force ties; length 11 leaves a remainder at both widths
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.integers(0, 3, size=(2, 3, 11)).astype(np.float64),
+                   requires_grad=True)
+        out = ad.max_pool1d(x, width)
+        lout = 11 // width
+        view = x.data[:, :, :lout * width].reshape(2, 3, lout, width)
+        np.testing.assert_array_equal(out.data, view.max(axis=-1))
+        assert (view == view.max(axis=-1, keepdims=True)).sum(axis=-1).max() > 1
+        g = rng.normal(size=out.shape)
+        ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+        want = np.zeros((2, 3, 11))
+        first = view.argmax(axis=-1)
+        for n, c, t in np.ndindex(out.shape):
+            want[n, c, t * width + first[n, c, t]] = g[n, c, t]
+        np.testing.assert_array_equal(x.grad, want)
+
+
+class TestBlockOpLayout:
+    """Block ops return C-contiguous (B, C, L) outputs and input gradients."""
+
+    @staticmethod
+    def check(op, x, *args):
+        x = Tensor(x, requires_grad=True)
+        out = op(x, *args)
+        assert out.data.flags.c_contiguous and out.ndim == 3
+        _, inputs, node_out, bwd = ad.active_graph().nodes[-1]
+        assert node_out is out and inputs[0] is x
+        dx = bwd(np.ones(out.shape))[0]
+        ad.active_graph().clear()
+        assert dx.shape == x.shape and dx.flags.c_contiguous
+
+    def test_all_four_ops(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 3, 11))
+        params = [Tensor(rng.normal(size=3), requires_grad=True) for _ in range(2)]
+        for stride, padding in ((1, 0), (1, 2), (2, 1)):
+            w = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
+            self.check(ad.conv1d, x, w, Tensor(np.zeros(4)), stride, padding)
+        for mode in ("train-stats", "running-stats"):
+            self.check(ad.batch_norm1d, x, *params, BNState(3), mode)
+        self.check(ad.relu, x)
+        for width in (2, 3):
+            self.check(ad.max_pool1d, x, width)
 
 
 class TestBackward:

@@ -38,6 +38,32 @@ class TestPretrain:
         assert code == 0
         assert out.exists() and (tmp_path / "model.ttaw.json").exists()
 
+    def test_reads_shape_from_meta_json(self, tmp_path):
+        data = tmp_path / "one-channel"
+        assert main(["generate-data", "--out", str(data), "--channels", "1",
+                     "--length", "32", "--n-source", "16", "--n-target", "16"]) == 0
+        out = tmp_path / "model.ttaw"
+        code = main(["pretrain", "--data", str(data), "--out", str(out), "--epochs", "1"])
+        assert code == 0
+        sidecar = json.loads((tmp_path / "model.ttaw.json").read_text())
+        assert sidecar["encoder"]["in_channels"] == 1
+
+    def test_explicit_flags_override_meta_json(self, dataset_dir, tmp_path):
+        # the directory holds 2x64 series; a flag that disagrees must win and fail
+        code = main(["pretrain", "--data", str(dataset_dir), "--out",
+                     str(tmp_path / "m.ttaw"), "--epochs", "1", "--length", "32"])
+        assert code == 3
+
+    def test_default_encoder_is_the_experiment_default(self, dataset_dir, tmp_path):
+        from tsadapt.experiment import ExperimentConfig
+
+        out = tmp_path / "model.ttaw"
+        assert main(["pretrain", "--data", str(dataset_dir), "--out", str(out),
+                     "--epochs", "1"]) == 0
+        sidecar = json.loads((tmp_path / "model.ttaw.json").read_text())
+        assert sidecar["encoder"]["filters"] == list(ExperimentConfig().encoder["filters"])
+        assert sidecar["encoder"]["filters"] == [16, 24, 24]
+
     def test_missing_data_dir_is_exit_3(self, tmp_path):
         code = main([
             "pretrain", "--data", str(tmp_path / "nowhere"),
