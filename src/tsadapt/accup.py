@@ -7,8 +7,9 @@ so classifier logits and prototype probability rows go through one uniform
 operator and their entropies are directly comparable.
 
 The support set is single-writer; prototype computation reads a frozen view
-of it. All other functions here are pure and thread-safe. Within one run the
-support set only ever grows, so its memory is linear in the streamed samples.
+of it. All other functions here are pure and thread-safe. The support set
+keeps at most k rows per class, so its memory is fixed by (classes, k) and
+does not grow with the stream.
 """
 
 from __future__ import annotations
@@ -41,66 +42,62 @@ def shannon_entropy(logits) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
-@dataclass
-class SupportEntry:
-    feature: np.ndarray
-    logits: np.ndarray
-    entropy: float
-
-
 class SupportSet:
-    """Append-only per-class memory of (feature, logits, entropy) entries.
+    """Per-class store of the k lowest-entropy (feature, logits, entropy) rows.
 
-    Seeded with one zero-entropy entry per class taken from the classifier
-    weight rows, which guarantees every class always has a prototype.
+    Each class holds at most k rows in three arrays sorted by (entropy,
+    insertion order). Rows never change once inserted, so a row that falls
+    out of the first k can never return: the store keeps exactly the rows
+    a sort of the full history would pick. Seeded with one zero-entropy row
+    per class taken from the classifier weight rows, which guarantees every
+    class always has a prototype.
     """
 
-    def __init__(self, n_classes: int, feature_dim: int):
+    def __init__(self, n_classes: int, feature_dim: int, k: int):
+        if k < 1:
+            raise ConfigurationError(f"support bound must be >= 1, got {k}")
         self.n_classes = n_classes
         self.feature_dim = feature_dim
-        self._entries: list[list[SupportEntry]] = [[] for _ in range(n_classes)]
+        self.k = k
+        self.features = [np.zeros((0, feature_dim)) for _ in range(n_classes)]
+        self.logits = [np.zeros((0, n_classes)) for _ in range(n_classes)]
+        self.entropies = [np.zeros(0) for _ in range(n_classes)]
 
     @classmethod
-    def from_classifier(cls, weight: np.ndarray) -> "SupportSet":
+    def from_classifier(cls, weight: np.ndarray, k: int) -> "SupportSet":
         c, f = weight.shape
-        s = cls(c, f)
-        for k in range(c):
-            onehot = np.zeros(c)
-            onehot[k] = 1.0
-            s._entries[k].append(
-                SupportEntry(
-                    feature=weight[k].copy(),
-                    logits=onehot,
-                    entropy=0.0,
-                )
-            )
+        s = cls(c, f, k)
+        update_support(s, weight, np.eye(c), np.zeros(c), np.arange(c))
         return s
 
-    def entries(self, label: int) -> list:
-        return self._entries[label]
-
     def class_counts(self) -> np.ndarray:
-        return np.array([len(e) for e in self._entries])
+        return np.array([len(h) for h in self.entropies])
 
     def __len__(self) -> int:
         return int(self.class_counts().sum())
 
 
 def update_support(support: SupportSet, features, logits, entropies, pseudo_labels) -> SupportSet:
-    """Append one stream entry per row under its pseudo-label class."""
+    """Merge each row into its pseudo-label class, keeping the k lowest entropies.
+
+    Retained rows precede the new ones and the sort is stable, so ties go to
+    the earlier insertion.
+    """
     features = np.asarray(features, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
     entropies = np.asarray(entropies, dtype=np.float64)
-    pseudo_labels = np.asarray(pseudo_labels)
+    pseudo_labels = np.asarray(pseudo_labels, dtype=np.intp)
     if not (len(features) == len(logits) == len(entropies) == len(pseudo_labels)):
         raise ContractError("support update rows have mismatched lengths")
-    for f, p, h, y in zip(features, logits, entropies, pseudo_labels):
-        y = int(y)
-        if y != int(p.argmax()):
-            raise ContractError("stream entry label must be the argmax of its logits")
-        support._entries[y].append(
-            SupportEntry(feature=f.copy(), logits=p.copy(), entropy=float(h))
-        )
+    if np.any(pseudo_labels != logits.argmax(axis=1)):
+        raise ContractError("stream entry label must be the argmax of its logits")
+    for c in np.unique(pseudo_labels):
+        rows = pseudo_labels == c
+        h = np.concatenate([support.entropies[c], entropies[rows]])
+        keep = np.argsort(h, kind="stable")[:support.k]
+        support.entropies[c] = h[keep]
+        support.features[c] = np.concatenate([support.features[c], features[rows]])[keep]
+        support.logits[c] = np.concatenate([support.logits[c], logits[rows]])[keep]
     return support
 
 
@@ -116,16 +113,16 @@ def compute_prototypes(support: SupportSet, k: int) -> PrototypeSet:
     """Mean feature of the k lowest-entropy entries per class.
 
     Ties break by insertion order (earlier wins); the classifier-init entry
-    carries entropy 0 and therefore never drops out.
+    carries entropy 0 and therefore never drops out. The store is already
+    sorted, so this is the mean of its first k rows; k may not exceed the
+    store's bound.
     """
     if k < 1:
         raise ConfigurationError(f"support filter size must be >= 1, got {k}")
-    mu = np.zeros((support.n_classes, support.feature_dim))
-    counts = np.zeros(support.n_classes, dtype=np.intp)
-    for c in range(support.n_classes):
-        kept = sorted(support.entries(c), key=lambda e: e.entropy)[:k]
-        counts[c] = len(kept)
-        mu[c] = np.mean([e.feature for e in kept], axis=0)
+    if k > support.k:
+        raise ContractError(f"filter size {k} exceeds the support set's bound {support.k}")
+    mu = np.stack([f[:k].mean(axis=0) for f in support.features])
+    counts = np.minimum(support.class_counts(), k)
     return PrototypeSet(mu=mu, counts=counts)
 
 
@@ -311,16 +308,16 @@ class AccupConfig:
 def export_support_set(path, support: SupportSet) -> None:
     """Dump the support set for inspection: tensor container + JSON metadata.
 
-    Row i of class c's tensors is entry i of that class; row 0 is the entry
-    seeded from the classifier weights.
+    Class c's tensors hold its retained rows in (entropy, insertion order);
+    row 0 is the entry seeded from the classifier weights, which has entropy
+    0 and was inserted first.
     """
     tensors = {}
     meta = {"n_classes": support.n_classes, "feature_dim": support.feature_dim}
     for c in range(support.n_classes):
-        entries = support.entries(c)
-        tensors[f"class{c}.features"] = np.stack([e.feature for e in entries])
-        tensors[f"class{c}.logits"] = np.stack([e.logits for e in entries])
-        tensors[f"class{c}.entropy"] = np.array([e.entropy for e in entries])
+        tensors[f"class{c}.features"] = support.features[c]
+        tensors[f"class{c}.logits"] = support.logits[c]
+        tensors[f"class{c}.entropy"] = support.entropies[c]
     ad.save_tensors(path, tensors)
     with open(f"{path}.json", "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)

@@ -1,7 +1,7 @@
 """Single-pass streaming loop for every strategy, and the ACCUP step.
 
 Each arriving batch is seen exactly once: predict with the current model,
-then update. Under ACCUP the update grows the support set, rebuilds
+then update. Under ACCUP the update refreshes the support set, rebuilds
 prototypes and takes one optimizer step on the masked encoder parameters;
 the baselines step as `baselines` describes. Predictions are always the
 pre-update forward. Labels never reach a step function; batches are bare
@@ -115,7 +115,7 @@ class AdaptState:
         self.layer_mask = layer_mask or LayerMask()
         self.rng = np.random.default_rng(seed)
         self.support = (
-            SupportSet.from_classifier(model.cls_weight.data)
+            SupportSet.from_classifier(model.cls_weight.data, config.k_support)
             if config.use_prototypes
             else None
         )

@@ -120,7 +120,7 @@ def _experiment_from_args(args) -> ExperimentConfig:
         overrides["strategy"] = args.strategy
     if args.seeds:
         overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if args.batch_size:
+    if args.batch_size is not None:
         overrides["batch_size"] = args.batch_size
     if args.model:
         overrides["model_path"] = args.model

@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .accup import AccupConfig
@@ -321,7 +321,7 @@ def _sweep_entry(args):
 
 def run_sweep(config: ExperimentConfig, param: str, values, workers: int = 1) -> list:
     """Grid over one AccupConfig field; entries run in a process pool."""
-    if not hasattr(config.accup, param):
+    if param not in {f.name for f in fields(AccupConfig)}:
         raise ConfigurationError(f"unknown sweep parameter {param!r}")
     jobs = [(config.to_dict(), param, v) for v in values]
     if workers > 1:

@@ -54,24 +54,30 @@ class _report:
 # independent oracles (restated here so the gate is self-contained)
 # ---------------------------------------------------------------------------
 
-def prototypes_oracle(support, k):
-    mu = np.zeros((support.n_classes, support.feature_dim))
-    for c in range(support.n_classes):
-        entries = support.entries(c)
-        order = sorted(range(len(entries)), key=lambda i: (entries[i].entropy, i))[:k]
-        mu[c] = np.mean([entries[i].feature for i in order], axis=0)
+def prototypes_oracle(history, k):
+    """Sort each class's full recorded history of (feature, entropy) rows."""
+    mu = np.zeros((len(history), len(history[0][0][0])))
+    for c, rows in enumerate(history):
+        order = sorted(range(len(rows)), key=lambda i: (rows[i][1], i))[:k]
+        mu[c] = np.mean([rows[i][0] for i in order], axis=0)
     return mu
 
 
-def random_support_set(rng, n_classes, feature_dim, max_entries=25):
-    support = SupportSet.from_classifier(rng.normal(size=(n_classes, feature_dim)))
+def random_support_set(rng, n_classes, feature_dim, max_entries=25, bound=11):
+    """A support set bounded at the largest k criterion 01 draws, plus the
+    history of every row inserted into each class."""
+    weight = rng.normal(size=(n_classes, feature_dim))
+    support = SupportSet.from_classifier(weight, bound)
+    history = [[(row, 0.0)] for row in weight]
     for c in range(n_classes):
         for _ in range(int(rng.integers(0, max_entries))):
             logits = rng.normal(size=n_classes)
             logits[c] += 10.0
-            update_support(support, rng.normal(size=(1, feature_dim)), logits[None],
-                           [float(rng.uniform(0.0, 2.0))], [c])
-    return support
+            feature = rng.normal(size=(1, feature_dim))
+            entropy = float(rng.uniform(0.0, 2.0))
+            update_support(support, feature, logits[None], [entropy], [c])
+            history[c].append((feature[0], entropy))
+    return support, history
 
 
 def contrastive_oracle(p, labels, tau):
@@ -119,10 +125,10 @@ def test_criterion_01_prototype_oracle_equivalence():
         for _ in range(1000):
             n_classes = int(rng.integers(2, 7))
             feature_dim = int(rng.integers(2, 10))
-            support = random_support_set(rng, n_classes, feature_dim)
+            support, history = random_support_set(rng, n_classes, feature_dim)
             k = int(rng.integers(1, 12))
             protos = compute_prototypes(support, k)
-            np.testing.assert_array_equal(protos.mu, prototypes_oracle(support, k))
+            np.testing.assert_array_equal(protos.mu, prototypes_oracle(history, k))
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
@@ -152,7 +158,7 @@ def test_criterion_03_gradient_integrity():
 
         # prototypes frozen from a small warmed-up support set: the loss is
         # then a pure function of the encoder parameters
-        support = SupportSet.from_classifier(model.cls_weight.data)
+        support = SupportSet.from_classifier(model.cls_weight.data, config.k_support)
         with ad.no_grad():
             accup_batch(model, x_raw, x_aug, config, support=support)
         prototypes = compute_prototypes(support, config.k_support)
@@ -335,8 +341,8 @@ def test_criterion_08_ablation_wiring(pretrained, shift_data):
         config_off = AccupConfig(use_augmentation=False, lr=0.0)
         config_dup = AccupConfig(use_augmentation=True, lr=0.0)
         m_off, m_dup = pretrained.clone(), pretrained.clone()
-        support_off = SupportSet.from_classifier(m_off.cls_weight.data)
-        support_dup = SupportSet.from_classifier(m_dup.cls_weight.data)
+        support_off = SupportSet.from_classifier(m_off.cls_weight.data, config_off.k_support)
+        support_dup = SupportSet.from_classifier(m_dup.cls_weight.data, config_dup.k_support)
         outs_off, loss_off = accup_batch(m_off, batch, None, config_off,
                                          support=support_off)
         outs_dup, loss_dup = accup_batch(m_dup, batch, batch.copy(), config_dup,

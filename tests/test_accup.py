@@ -35,15 +35,30 @@ def entropy_oracle(logits):
     return float(-(p[p > 0] * np.log(p[p > 0])).sum())
 
 
-def prototypes_oracle(support, k):
-    """Sort every class by (entropy, insertion index), keep k, average."""
-    mu = np.zeros((support.n_classes, support.feature_dim))
-    for c in range(support.n_classes):
-        entries = support.entries(c)
-        order = sorted(range(len(entries)), key=lambda i: (entries[i].entropy, i))
-        kept = order[:k]
-        mu[c] = np.mean([entries[i].feature for i in kept], axis=0)
-    return mu
+def kept_rows(rows, k):
+    """Sort one class's full history by (entropy, insertion index), keep k."""
+    order = sorted(range(len(rows)), key=lambda i: (rows[i][1], i))
+    return [rows[i] for i in order[:k]]
+
+
+def prototypes_oracle(history, k):
+    """Average the kept rows of every class's full history."""
+    return np.array([np.mean([f for f, _ in kept_rows(rows, k)], axis=0) for rows in history])
+
+
+def seeded_support(weight, bound):
+    """A support set seeded from classifier rows, plus the test's own record
+    of every (feature, entropy) row inserted into each class."""
+    support = SupportSet.from_classifier(weight, bound)
+    history = [[(row.copy(), 0.0)] for row in weight]
+    return support, history
+
+
+def insert(support, history, features, logits, entropies, labels):
+    """update_support, recording each row in the history the oracles read."""
+    update_support(support, features, logits, entropies, labels)
+    for f, h, y in zip(features, entropies, labels):
+        history[int(y)].append((np.array(f, dtype=np.float64), float(h)))
 
 
 def cos_matrix(p):
@@ -73,20 +88,21 @@ def contrastive_oracle(p, labels, tau):
     return contrastive_loss_from_cos(cos_matrix(np.asarray(p)), labels, tau)
 
 
-def random_support_set(rng, n_classes=4, feature_dim=6, max_entries=20):
-    support = SupportSet.from_classifier(rng.normal(size=(n_classes, feature_dim)))
+def random_support_set(rng, n_classes=4, feature_dim=6, max_entries=20, bound=7):
+    support, history = seeded_support(rng.normal(size=(n_classes, feature_dim)), bound)
     for c in range(n_classes):
         for _ in range(rng.integers(0, max_entries)):
             logits = rng.normal(size=n_classes)
             logits[c] += 10.0  # pin the argmax to the class
-            update_support(
+            insert(
                 support,
+                history,
                 rng.normal(size=(1, feature_dim)),
                 logits[None],
                 [float(rng.uniform(0, 2))],
                 [c],
             )
-    return support
+    return support, history
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +191,22 @@ class TestEnsemble:
 
 class TestSupportSet:
     def test_init_one_entry_per_class(self):
-        support = SupportSet.from_classifier(np.eye(4, 7))
+        support = SupportSet.from_classifier(np.eye(4, 7), 10)
         assert len(support) == 4
         for c in range(4):
-            (entry,) = support.entries(c)
-            assert entry.entropy == 0.0
-            assert int(entry.logits.argmax()) == c
+            np.testing.assert_array_equal(support.entropies[c], [0.0])
+            np.testing.assert_array_equal(support.logits[c], np.eye(4)[c:c + 1])
+            np.testing.assert_array_equal(support.features[c], np.eye(4, 7)[c:c + 1])
 
     def test_empty_update_is_noop(self):
-        support = SupportSet.from_classifier(np.eye(3, 5))
+        support = SupportSet.from_classifier(np.eye(3, 5), 10)
         update_support(support, np.zeros((0, 5)), np.zeros((0, 3)),
                        np.zeros(0), np.zeros(0, dtype=int))
         assert len(support) == 3
 
     def test_batch_of_three_grows_by_three(self):
         rng = np.random.default_rng(6)
-        support = SupportSet.from_classifier(rng.normal(size=(3, 5)))
+        support = SupportSet.from_classifier(rng.normal(size=(3, 5)), 10)
         logits = rng.normal(size=(3, 3))
         labels = logits.argmax(axis=1)
         update_support(support, rng.normal(size=(3, 5)), logits,
@@ -199,42 +215,41 @@ class TestSupportSet:
 
     def test_stream_labels_match_stored_argmax(self):
         rng = np.random.default_rng(7)
-        support = SupportSet.from_classifier(rng.normal(size=(4, 5)))
+        support = SupportSet.from_classifier(rng.normal(size=(4, 5)), 10)
         logits = rng.normal(size=(10, 4))
         update_support(support, rng.normal(size=(10, 5)), logits,
                        shannon_entropy(logits), logits.argmax(axis=1))
         for c in range(4):
-            for entry in support.entries(c):
-                assert int(entry.logits.argmax()) == c
+            assert np.all(support.logits[c].argmax(axis=1) == c)
 
     def test_mismatched_label_rejected(self):
-        support = SupportSet.from_classifier(np.eye(3, 5))
+        support = SupportSet.from_classifier(np.eye(3, 5), 10)
         with pytest.raises(ContractError):
             update_support(support, np.zeros((1, 5)), np.array([[0.0, 1.0, 0.0]]),
                            [0.5], [2])
 
     def test_export_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
-        support = random_support_set(rng)
+        support, history = random_support_set(rng)
         path = tmp_path / "support.ttaw"
         export_support_set(path, support)
         tensors = ad.load_tensors(path)
-        for c in range(support.n_classes):
-            np.testing.assert_array_equal(
-                tensors[f"class{c}.features"],
-                np.stack([e.feature for e in support.entries(c)]),
-            )
+        for c, rows in enumerate(history):
+            kept = kept_rows(rows, support.k)
+            np.testing.assert_array_equal(tensors[f"class{c}.features"],
+                                          np.stack([f for f, _ in kept]))
+            np.testing.assert_array_equal(tensors[f"class{c}.entropy"], [h for _, h in kept])
 
 
 class TestComputePrototypes:
     def test_single_entry_class(self):
-        support = SupportSet.from_classifier(np.array([[1.0, 2, 3], [4, 5, 6]]))
+        support = SupportSet.from_classifier(np.array([[1.0, 2, 3], [4, 5, 6]]), 5)
         protos = compute_prototypes(support, k=5)
         np.testing.assert_array_equal(protos.mu, [[1.0, 2, 3], [4, 5, 6]])
         np.testing.assert_array_equal(protos.counts, [1, 1])
 
     def test_lowest_entropy_wins(self):
-        support = SupportSet(2, 2)
+        support = SupportSet(2, 2, 3)
         update_support(support, np.array([[1.0, 0.0]]), np.array([[5.0, 0.0]]),
                        [0.1], [0])
         update_support(support, np.array([[0.0, 1.0]]), np.array([[5.0, 0.0]]),
@@ -246,15 +261,15 @@ class TestComputePrototypes:
 
     def test_twenty_entry_class_matches_oracle_exactly(self):
         rng = np.random.default_rng(9)
-        support = SupportSet.from_classifier(rng.normal(size=(1, 6)))
+        support, history = seeded_support(rng.normal(size=(1, 6)), 5)
         for _ in range(20):
-            update_support(support, rng.normal(size=(1, 6)), np.array([[1.0]]),
-                           [float(rng.uniform(0, 2))], [0])
+            insert(support, history, rng.normal(size=(1, 6)), np.array([[1.0]]),
+                   [float(rng.uniform(0, 2))], [0])
         protos = compute_prototypes(support, k=5)
-        np.testing.assert_array_equal(protos.mu, prototypes_oracle(support, 5))
+        np.testing.assert_array_equal(protos.mu, prototypes_oracle(history, 5))
 
     def test_ties_break_by_insertion_order(self):
-        support = SupportSet(1, 1)
+        support = SupportSet(1, 1, 2)
         for value in (1.0, 2.0, 3.0):
             update_support(support, np.array([[value]]), np.array([[1.0]]),
                            [0.5], [0])
@@ -265,14 +280,55 @@ class TestComputePrototypes:
     def test_many_random_sets_match_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
-            support = random_support_set(rng)
+            support, history = random_support_set(rng)
             k = int(rng.integers(1, 8))
             protos = compute_prototypes(support, k)
-            np.testing.assert_array_equal(protos.mu, prototypes_oracle(support, k))
+            np.testing.assert_array_equal(protos.mu, prototypes_oracle(history, k))
 
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            compute_prototypes(SupportSet.from_classifier(np.eye(2)), 0)
+            compute_prototypes(SupportSet.from_classifier(np.eye(2), 3), 0)
+
+
+class TestBoundedStore:
+    """The store keeps at most k rows per class and still gives the prototypes
+    of the full history, which the test records itself."""
+
+    def test_long_stream_matches_full_history_oracle(self):
+        rng = np.random.default_rng(14)
+        n_classes, feature_dim, bound = 3, 4, 6
+        support, history = seeded_support(rng.normal(size=(n_classes, feature_dim)), bound)
+        for _ in range(200):
+            b = int(rng.integers(1, 9))
+            labels = rng.integers(0, n_classes, size=b)
+            logits = rng.normal(size=(b, n_classes))
+            logits[np.arange(b), labels] += 10.0
+            # half the rows take one of three levels, forcing ties; a 0 ties
+            # the classifier-init row
+            entropies = np.where(rng.random(b) < 0.5,
+                                 rng.choice([0.0, 0.3, 0.7], size=b),
+                                 rng.uniform(0.0, 2.0, size=b))
+            insert(support, history, rng.normal(size=(b, feature_dim)), logits,
+                   entropies, labels)
+            assert np.all(support.class_counts() <= bound)
+            for k in range(1, bound + 1):
+                protos = compute_prototypes(support, k)
+                np.testing.assert_array_equal(protos.mu, prototypes_oracle(history, k))
+                np.testing.assert_array_equal(
+                    protos.counts, [min(len(rows), k) for rows in history]
+                )
+        assert len(support) == n_classes * bound
+        assert sum(len(rows) for rows in history) > 10 * len(support)
+
+    def test_k_above_the_bound_rejected(self):
+        support = SupportSet.from_classifier(np.eye(2), 3)
+        compute_prototypes(support, 3)
+        with pytest.raises(ContractError):
+            compute_prototypes(support, 4)
+
+    def test_bound_must_be_positive(self):
+        with pytest.raises(ConfigurationError):
+            SupportSet(2, 2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ experiment.STRATEGIES through the one loop.
 import numpy as np
 import pytest
 
+import tsadapt.accup as acc
 from tsadapt.accup import AccupConfig
 from tsadapt.adapt import AdaptState, LayerMask, RunRecord, adapt_batch, run_stream
 from tsadapt.baselines import StrategyConfig
@@ -108,6 +109,35 @@ class TestAdaptBatch:
         state = AdaptState(pretrained.clone(), quiet_config())
         with pytest.raises(ConformanceError):
             adapt_batch(state, np.zeros((4, 5, 64)))
+
+    def test_support_set_stays_bounded(self, pretrained, shift_data):
+        _, target = shift_data
+        config = quiet_config(use_contrast=True, lr=1e-3)
+        state = AdaptState(pretrained.clone(), config)
+        for i in range(20):
+            adapt_batch(state, target.values[16 * i:16 * (i + 1)])
+        assert len(state.support) <= pretrained.n_classes * config.k_support
+
+    def test_prototype_call_contract(self, pretrained, shift_data, monkeypatch):
+        # perfbench/tracer.py wraps compute_prototypes and reads (support, k)
+        # positionally, then support.class_counts()
+        _, target = shift_data
+        calls = []
+        compute = acc.compute_prototypes
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(acc, "compute_prototypes", recorder)
+        state = AdaptState(pretrained.clone(), quiet_config(use_contrast=True))
+        adapt_batch(state, target.values[:16])
+        ((args, kwargs),) = calls
+        assert kwargs == {}
+        support, k = args
+        assert support is state.support and k == state.config.k_support
+        counts = support.class_counts()
+        assert counts.shape == (pretrained.n_classes,) and counts.sum() == len(support)
 
 
 class TestModuleSwitchWiring:

@@ -145,6 +145,14 @@ class TestAdapt:
         ])
         assert code == 0
 
+    def test_zero_batch_size_is_exit_2(self, dataset_dir, tmp_path):
+        code = main([
+            "adapt", "--data", str(dataset_dir), "--out", str(tmp_path / "x"),
+            "--strategy", "source", "--seeds", "0", "--epochs", "1",
+            "--batch-size", "0",
+        ])
+        assert code == 2
+
     def test_requires_config_or_data(self):
         assert main(["adapt", "--strategy", "accup"]) == 2
 
@@ -178,6 +186,14 @@ class TestSweep:
         assert code == 0
         rows = json.loads((out / "sweep_k_support.json").read_text())
         assert [r["value"] for r in rows] == [1, 5]
+
+    def test_method_name_is_not_a_parameter(self, dataset_dir, tmp_path):
+        code = main([
+            "sweep", "--data", str(dataset_dir), "--out", str(tmp_path / "m"),
+            "--seeds", "0", "--epochs", "1",
+            "--param", "to_dict", "--values", "1",
+        ])
+        assert code == 2
 
 
 class TestReport:
