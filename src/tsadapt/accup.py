@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .augment import AugmentSpec
-from .errors import ConfigurationError, ContractError, NumericDomainError
+from .errors import ConfigurationError, ContractError, NumericDomainError, reject_unknown_keys
 
 
 def shannon_entropy(logits) -> np.ndarray:
@@ -139,35 +140,17 @@ def prototype_logits(features, protos: PrototypeSet, eta: float) -> Tensor:
     return ad.softmax(ad.scalar_mul(cos, float(eta)))
 
 
-def make_ensemble_weight() -> Tensor:
-    """Trainable 2-logit parameter whose softmax gives (w, 1-w), starting at 0.5."""
-    return Tensor(np.zeros(2), requires_grad=True)
-
-
-def ensemble(f_raw, p_raw, f_aug, p_aug, w=0.5, mode: str = "fixed"):
+def ensemble(f_raw, p_raw, f_aug, p_aug, w=0.5):
     """Weighted blend of the raw and augmented views: w*raw + (1-w)*aug.
 
-    Fixed mode takes a float w in (0, 1); w=0.5 is the plain two-view average.
-    Learnable mode takes the 2-logit tensor from make_ensemble_weight() and
-    blends with its softmax, keeping the weight inside (0, 1) by construction.
+    w is a float in (0, 1); w=0.5 is the plain two-view average.
     """
-    if mode == "fixed":
-        w = float(w)
-        if not 0.0 < w < 1.0:
-            raise ConfigurationError(f"ensemble weight must be in (0, 1), got {w}")
-        f_ens = ad.add(ad.scalar_mul(f_raw, w), ad.scalar_mul(f_aug, 1.0 - w))
-        p_ens = ad.add(ad.scalar_mul(p_raw, w), ad.scalar_mul(p_aug, 1.0 - w))
-        return f_ens, p_ens
-    if mode == "learnable":
-        if not isinstance(w, Tensor) or w.shape != (2,):
-            raise ConfigurationError("learnable mode needs the 2-logit weight tensor")
-        weights = ad.softmax(w)
-        w0 = ad.index_select(weights, [0])
-        w1 = ad.index_select(weights, [1])
-        f_ens = ad.add(ad.mul(f_raw, w0), ad.mul(f_aug, w1))
-        p_ens = ad.add(ad.mul(p_raw, w0), ad.mul(p_aug, w1))
-        return f_ens, p_ens
-    raise ConfigurationError(f"unknown ensemble mode {mode!r}")
+    w = float(w)
+    if not 0.0 < w < 1.0:
+        raise ConfigurationError(f"ensemble weight must be in (0, 1), got {w}")
+    f_ens = ad.add(ad.scalar_mul(f_raw, w), ad.scalar_mul(f_aug, 1.0 - w))
+    p_ens = ad.add(ad.scalar_mul(p_raw, w), ad.scalar_mul(p_aug, 1.0 - w))
+    return f_ens, p_ens
 
 
 def entropy_compare(p_ens, h_ens, p_proto, h_proto):
@@ -188,7 +171,7 @@ def entropy_compare(p_ens, h_ens, p_proto, h_proto):
     return p_out, p_out.data.argmax(axis=1)
 
 
-def contrastive_loss(view_logits, pseudo_labels, tau: float, anchors: str = "all") -> Tensor:
+def contrastive_loss(view_logits, pseudo_labels, tau: float) -> Tensor:
     """Pseudo-label contrastive clustering over the combined two-view batch.
 
     For anchor i with positives pos(i) = same-label rows (self excluded) and
@@ -196,13 +179,10 @@ def contrastive_loss(view_logits, pseudo_labels, tau: float, anchors: str = "all
         -(1/|pos(i)|) * sum_{j in pos(i)} [ cos(p_i, p_j)/tau
                                             - log sum_{k in neg(i)} exp(cos(p_i, p_k)/tau) ];
     the denominator runs over negatives only. Anchors with no positives or no
-    negatives contribute 0. Returns the sum over anchors ("raw" restricts
-    anchors to the first half of the rows, the unaugmented views).
+    negatives contribute 0. Returns the sum over anchors.
     """
     if tau <= 0:
         raise ConfigurationError(f"temperature must be > 0, got {tau}")
-    if anchors not in ("all", "raw"):
-        raise ConfigurationError(f"unknown anchor mode {anchors!r}")
     p = view_logits if isinstance(view_logits, Tensor) else Tensor(view_logits)
     labels = np.asarray(pseudo_labels)
     n = p.shape[0]
@@ -215,9 +195,6 @@ def contrastive_loss(view_logits, pseudo_labels, tau: float, anchors: str = "all
     pos_count = pos.sum(axis=1)
     neg_count = neg.sum(axis=1)
     valid = (pos_count > 0) & (neg_count > 0)
-    if anchors == "raw":
-        valid = valid.copy()
-        valid[n // 2:] = False
 
     sims = ad.cosine_pairs(p, p)
     scaled = ad.exp(ad.scalar_mul(sims, 1.0 / tau))
@@ -228,8 +205,7 @@ def contrastive_loss(view_logits, pseudo_labels, tau: float, anchors: str = "all
     denom_term = ad.tensor_sum(ad.mul(log_denom, Tensor(valid.astype(np.float64))))
 
     weights = np.zeros((n, n))
-    rows = valid & (pos_count > 0)
-    weights[rows] = pos[rows] / (tau * pos_count[rows, None])
+    weights[valid] = pos[valid] / (tau * pos_count[valid, None])
     pos_term = ad.tensor_sum(ad.mul(sims, Tensor(weights)))
     return ad.sub(denom_term, pos_term)
 
@@ -253,7 +229,7 @@ class AccupConfig:
 
     k_support, eta and tau control the prototype filter, the prototype
     logit sharpness and the contrastive temperature. ensemble_weight is the
-    raw-view weight (fixed mode) and always starts at 0.5 in learnable mode.
+    fixed raw-view weight of the two-view ensemble.
     bn_policy "batch" normalizes adaptation forwards with current-batch
     statistics; "running" freezes the pretrained statistics.
     """
@@ -262,19 +238,17 @@ class AccupConfig:
     eta: float = 20.0
     tau: float = 0.7
     ensemble_weight: float = 0.5
-    ensemble_mode: str = "fixed"  # fixed | learnable
     augment: AugmentSpec = field(default_factory=AugmentSpec)
     use_prototypes: bool = True
     use_entropy_comparison: bool = True
     use_augmentation: bool = True
     use_contrast: bool = True
-    anchor_mode: str = "all"  # all | raw
     lr: float = 3e-4
     bn_policy: str = "batch"  # batch | running
 
     def __post_init__(self):
-        if self.k_support < 1:
-            raise ConfigurationError(f"k_support must be >= 1, got {self.k_support}")
+        if not isinstance(self.k_support, Integral) or self.k_support < 1:
+            raise ConfigurationError(f"k_support must be an integer >= 1, got {self.k_support!r}")
         if self.eta <= 0:
             raise ConfigurationError(f"eta must be > 0, got {self.eta}")
         if self.tau <= 0:
@@ -283,10 +257,6 @@ class AccupConfig:
             raise ConfigurationError(
                 f"ensemble_weight must be in (0, 1), got {self.ensemble_weight}"
             )
-        if self.ensemble_mode not in ("fixed", "learnable"):
-            raise ConfigurationError(f"unknown ensemble mode {self.ensemble_mode!r}")
-        if self.anchor_mode not in ("all", "raw"):
-            raise ConfigurationError(f"unknown anchor mode {self.anchor_mode!r}")
         if self.lr < 0:
             raise ConfigurationError(f"lr must be >= 0, got {self.lr}")
         if self.bn_policy not in ("batch", "running"):
@@ -300,6 +270,7 @@ class AccupConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "AccupConfig":
         d = dict(d)
+        reject_unknown_keys(d, cls)
         if "augment" in d and isinstance(d["augment"], dict):
             d["augment"] = AugmentSpec.from_dict(d["augment"])
         return cls(**d)

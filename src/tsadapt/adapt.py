@@ -2,10 +2,11 @@
 
 Each arriving batch is seen exactly once: predict with the current model,
 then update. Under ACCUP the update refreshes the support set, rebuilds
-prototypes and takes one optimizer step on the masked encoder parameters;
-the baselines step as `baselines` describes. Predictions are always the
-pre-update forward. Labels never reach a step function; batches are bare
-value arrays, and `run_stream` uses labels only to score the run.
+prototypes and takes one optimizer step on the masked encoder parameters
+against the contrastive loss, the only part of the step that is recorded
+for backward; the baselines step as `baselines` describes. Predictions are
+always the pre-update forward. Labels never reach a step function; batches
+are bare value arrays, and `run_stream` uses labels only to score the run.
 
 A run owns its AdaptState exclusively (the loop is inherently sequential);
 independent runs over different seeds or configs may execute in parallel.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +27,7 @@ from .accup import AccupConfig, EnsembleOutput, PrototypeSet, SupportSet
 from .augment import apply_augment
 from .backbone import Model, classify, encode
 from .baselines import BaselineState, StrategyConfig, baseline_adapt_batch
-from .errors import ConfigurationError, ContractError, NumericDomainError
+from .errors import ConfigurationError, ContractError, NumericDomainError, reject_unknown_keys
 from .metrics import MacroF1Report, macro_f1
 from .optim import Adam
 
@@ -50,6 +52,7 @@ class LayerMask:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerMask":
+        reject_unknown_keys(d, cls)
         return cls(bool(d.get("conv1", True)), bool(d.get("conv2", True)),
                    bool(d.get("conv3", True)))
 
@@ -104,8 +107,7 @@ class AdaptState:
     """Mutable state of one adaptation run.
 
     The classifier is never part of the trainable set; only the encoder
-    blocks selected by the layer mask (plus the ensemble weight when it is
-    learnable) are optimized.
+    blocks selected by the layer mask are optimized.
     """
 
     def __init__(self, model: Model, config: AccupConfig, layer_mask: LayerMask | None = None,
@@ -119,13 +121,8 @@ class AdaptState:
             if config.use_prototypes
             else None
         )
-        self.ens_weight = (
-            acc.make_ensemble_weight() if config.ensemble_mode == "learnable" else None
-        )
-        params = list(model.encoder_parameters(self.layer_mask.blocks()).values())
-        if self.ens_weight is not None:
-            params.append(self.ens_weight)
-        self.optimizer = Adam(params, lr=config.lr)
+        self.optimizer = Adam(model.encoder_parameters(self.layer_mask.blocks()).values(),
+                              lr=config.lr)
         self.step = 0
 
 
@@ -136,50 +133,56 @@ def accup_batch(
     config: AccupConfig,
     support: SupportSet | None = None,
     prototypes: PrototypeSet | None = None,
-    ens_weight=None,
 ):
-    """Build the prediction-and-loss graph for one batch.
+    """Predict one batch and build its contrastive loss.
 
-    The streaming path passes `support`: ensemble rows are appended to it and
-    prototypes are rebuilt before being used (as constants). The gradient
-    check path passes `prototypes` directly so the loss is a pure function of
-    the model parameters. Returns (EnsembleOutput, loss tensor or None).
+    Only the raw and augmented encode/classify and the per-view loss are
+    recorded on the tape. The ensemble, support update, prototypes and
+    entropy comparison only choose the predictions and pseudo-labels, so
+    they run under no_grad; with config.use_contrast off nothing is
+    recorded and the loss is None. The streaming path passes `support`:
+    ensemble rows are appended to it and prototypes are rebuilt before
+    being used (as constants). The gradient check path passes `prototypes`
+    directly so the loss is a pure function of the model parameters.
+    Returns (EnsembleOutput, loss tensor or None).
     """
     bn_mode = "train-stats" if config.bn_policy == "batch" else "running-stats"
-    f_raw = encode(model, x_raw, bn_mode)
-    p_raw = classify(model, f_raw)
-    if config.use_augmentation and x_aug is not None:
-        f_aug = encode(model, x_aug, bn_mode)
-        p_aug = classify(model, f_aug)
-        if config.ensemble_mode == "learnable":
-            f_ens, p_ens = acc.ensemble(f_raw, p_raw, f_aug, p_aug, ens_weight, "learnable")
+    two_views = config.use_augmentation and x_aug is not None
+    compare = config.use_prototypes and config.use_entropy_comparison
+    with nullcontext() if config.use_contrast else ad.no_grad():
+        f_raw = encode(model, x_raw, bn_mode)
+        p_raw = classify(model, f_raw)
+        if two_views:
+            f_aug = encode(model, x_aug, bn_mode)
+            p_aug = classify(model, f_aug)
         else:
-            f_ens, p_ens = acc.ensemble(f_raw, p_raw, f_aug, p_aug,
-                                        config.ensemble_weight, "fixed")
-    else:
-        f_aug, p_aug = f_raw, p_raw
-        f_ens, p_ens = f_raw, p_raw
+            f_aug, p_aug = f_raw, p_raw
 
-    h_ens = acc.shannon_entropy(p_ens.data)
+    with ad.no_grad():
+        if two_views:
+            f_ens, p_ens = acc.ensemble(f_raw, p_raw, f_aug, p_aug, config.ensemble_weight)
+        else:
+            f_ens, p_ens = f_raw, p_raw
+        h_ens = acc.shannon_entropy(p_ens.data)
 
-    protos = prototypes
-    if config.use_prototypes:
-        if support is not None:
-            acc.update_support(support, f_ens.data, p_ens.data, h_ens,
-                               p_ens.data.argmax(axis=1))
-            protos = acc.compute_prototypes(support, config.k_support)
-        if protos is None:
-            raise ContractError("prototype path needs a support set or prototypes")
+        protos = prototypes
+        if config.use_prototypes:
+            if support is not None:
+                acc.update_support(support, f_ens.data, p_ens.data, h_ens,
+                                   p_ens.data.argmax(axis=1))
+                protos = acc.compute_prototypes(support, config.k_support)
+            if protos is None:
+                raise ContractError("prototype path needs a support set or prototypes")
 
-    if config.use_prototypes and config.use_entropy_comparison:
-        p_proto = acc.prototype_logits(f_ens, protos, config.eta)
-        h_proto = acc.shannon_entropy(p_proto.data)
-        p_out, pseudo = acc.entropy_compare(p_ens, h_ens, p_proto, h_proto)
-        p_proto_val, h_proto_val = p_proto.data.copy(), h_proto
-    else:
-        # without the comparison scheme the ensemble prediction stands
-        p_out, pseudo = p_ens, p_ens.data.argmax(axis=1)
-        p_proto_val = h_proto_val = None
+        if compare:
+            p_proto = acc.prototype_logits(f_ens, protos, config.eta)
+            h_proto = acc.shannon_entropy(p_proto.data)
+            p_out, pseudo = acc.entropy_compare(p_ens, h_ens, p_proto, h_proto)
+            p_proto_val, h_proto_val = p_proto.data, h_proto
+        else:
+            # without the comparison scheme the ensemble prediction stands
+            p_out, pseudo = p_ens, p_ens.data.argmax(axis=1)
+            p_proto_val = h_proto_val = None
 
     outputs = EnsembleOutput(
         f_ens=f_ens.data.copy(),
@@ -195,7 +198,7 @@ def accup_batch(
         return outputs, None
 
     def per_view(p_view, f_view):
-        if config.use_prototypes and config.use_entropy_comparison:
+        if compare:
             pp = acc.prototype_logits(f_view, protos, config.eta)
             fused, _ = acc.entropy_compare(
                 p_view, acc.shannon_entropy(p_view.data),
@@ -206,43 +209,36 @@ def accup_batch(
 
     z = ad.concat([per_view(p_raw, f_raw), per_view(p_aug, f_aug)], axis=0)
     labels = np.concatenate([pseudo, pseudo])
-    loss = acc.contrastive_loss(z, labels, config.tau, anchors=config.anchor_mode)
-    return outputs, loss
+    return outputs, acc.contrastive_loss(z, labels, config.tau)
 
 
 def adapt_batch(state: AdaptState, values: np.ndarray):
     """Consume one unlabeled batch: predict, update memory, one Adam step.
 
     Returns (predictions, loss value, state). The predictions come from the
-    pre-update forward pass.
+    pre-update forward pass. Without the contrastive loss the step records
+    no graph and takes no backward and no Adam step; the loss is 0.0. A
+    step that raises leaves the shared tape empty.
     """
     if not isinstance(values, np.ndarray):
         raise ContractError(
             "adapt_batch takes a bare (B, Cin, L) value array; strip labels first"
         )
     cfg = state.config
-    if cfg.use_augmentation:
-        x_aug = apply_augment(values, cfg.augment, state.rng)
-    else:
-        x_aug = None
-
-    if cfg.use_contrast:
-        outputs, loss = accup_batch(state.model, values, x_aug, cfg,
-                                    support=state.support, ens_weight=state.ens_weight)
-        if not np.isfinite(loss.data):
-            raise NumericDomainError(
-                f"non-finite adaptation loss at step {state.step}"
-            )
-        state.optimizer.zero_grad()
-        ad.backward(loss)
-        loss_value = loss.item()
-    else:
-        with ad.no_grad():
-            outputs, _ = accup_batch(state.model, values, x_aug, cfg,
-                                     support=state.support, ens_weight=state.ens_weight)
-        state.optimizer.zero_grad()
+    x_aug = apply_augment(values, cfg.augment, state.rng) if cfg.use_augmentation else None
+    try:
+        outputs, loss = accup_batch(state.model, values, x_aug, cfg, support=state.support)
         loss_value = 0.0
-    state.optimizer.step()
+        if loss is not None:
+            if not np.isfinite(loss.data):
+                raise NumericDomainError(f"non-finite adaptation loss at step {state.step}")
+            state.optimizer.zero_grad()
+            ad.backward(loss)
+            state.optimizer.step()
+            loss_value = loss.item()
+    except BaseException:
+        ad.active_graph().clear()
+        raise
     state.step += 1
     return outputs.pseudo_labels, loss_value, state
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, reject_unknown_keys
 
 KINDS = ("magnitude-warp", "jitter", "scale", "permutation", "compose", "none")
 
@@ -23,7 +23,7 @@ class AugmentSpec:
 
     sigma is the dispersion of the warp/jitter/scale draw, knots the number
     of warp control points (endpoints included), segments the number of
-    permutation chunks. interp selects the warp interpolant.
+    permutation chunks.
     """
 
     kind: str = "magnitude-warp"
@@ -31,7 +31,6 @@ class AugmentSpec:
     knots: int = 4
     segments: int = 5
     parts: tuple = ()
-    interp: str = "cubic"  # cubic | linear
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -44,18 +43,17 @@ class AugmentSpec:
             raise ConfigurationError(f"segments must be >= 1, got {self.segments}")
         if self.kind == "compose" and not self.parts:
             raise ConfigurationError("compose needs a non-empty part list")
-        if self.interp not in ("cubic", "linear"):
-            raise ConfigurationError(f"unknown warp interpolant {self.interp!r}")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "sigma": self.sigma, "knots": self.knots,
-             "segments": self.segments, "interp": self.interp}
+             "segments": self.segments}
         if self.kind == "compose":
             d["parts"] = [p.to_dict() for p in self.parts]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentSpec":
+        reject_unknown_keys(d, cls)
         parts = tuple(cls.from_dict(p) for p in d.get("parts", []))
         return cls(
             kind=d.get("kind", "magnitude-warp"),
@@ -63,7 +61,6 @@ class AugmentSpec:
             knots=int(d.get("knots", 4)),
             segments=int(d.get("segments", 5)),
             parts=parts,
-            interp=d.get("interp", "cubic"),
         )
 
 
@@ -76,9 +73,9 @@ def magnitude_warp(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -
     """Multiply each (sample, channel) series by a smooth random curve around 1.
 
     Knot values are drawn from Normal(1, sigma^2) at `knots` evenly spaced
-    positions and interpolated to length L (natural cubic spline by default;
-    linear interpolation when spec.interp == "linear"). One curve is drawn
-    per sample-channel pair so inter-channel timing is preserved.
+    positions and interpolated to length L with a natural cubic spline. One
+    curve is drawn per sample-channel pair so inter-channel timing is
+    preserved.
     """
     _require_kind(spec, "magnitude-warp")
     b, c, length = x.shape
@@ -90,12 +87,7 @@ def magnitude_warp(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -
     vals = rng.normal(1.0, spec.sigma, size=(b, c, spec.knots))
     flat = vals.reshape(b * c, spec.knots).T  # (knots, B*C)
     t = np.arange(length, dtype=np.float64)
-    if spec.interp == "cubic":
-        curve = CubicSpline(pos, flat, axis=0, bc_type="natural")(t)
-    else:
-        curve = np.empty((length, b * c))
-        for i in range(b * c):
-            curve[:, i] = np.interp(t, pos, flat[:, i])
+    curve = CubicSpline(pos, flat, axis=0, bc_type="natural")(t)
     return x * curve.T.reshape(b, c, length)
 
 

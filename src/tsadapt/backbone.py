@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BNState, Tensor
-from .errors import ConformanceError, ContractError, LabelRangeError
+from .errors import ConformanceError, ContractError, LabelRangeError, reject_unknown_keys
 
 BN_MODES = ("train-stats", "running-stats")
 
@@ -56,6 +56,7 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
+        reject_unknown_keys(d, cls)
         return cls(
             in_channels=int(d["in_channels"]),
             filters=tuple(d.get("filters", (64, 128, 128))),

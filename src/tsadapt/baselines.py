@@ -56,7 +56,8 @@ def baseline_adapt_batch(state: BaselineState, values: np.ndarray):
 
     Returns (predictions, loss value, state), like `adapt.adapt_batch`. The
     predictions come from the pre-update forward; strategies that take no
-    step report a loss of 0.0.
+    step report a loss of 0.0. A step that raises leaves the shared tape
+    empty.
     """
     if not isinstance(values, np.ndarray):
         raise ContractError(
@@ -70,16 +71,20 @@ def baseline_adapt_batch(state: BaselineState, values: np.ndarray):
         preds = logits.data.argmax(axis=1)
         loss_value = 0.0
     else:
-        _, logits = forward(state.model, values, bn_mode="train-stats")
-        preds = logits.data.argmax(axis=1)
-        if kind == "tent":
-            p = ad.softmax(logits)
-            rows = ad.scalar_mul(ad.tensor_sum(ad.mul(p, ad.log(p)), axis=-1), -1.0)
-            loss = ad.mean(rows)
-        else:  # pseudo-label
-            loss = cross_entropy(logits, preds)
-        state.optimizer.zero_grad()
-        ad.backward(loss)
+        try:
+            _, logits = forward(state.model, values, bn_mode="train-stats")
+            preds = logits.data.argmax(axis=1)
+            if kind == "tent":
+                p = ad.softmax(logits)
+                rows = ad.scalar_mul(ad.tensor_sum(ad.mul(p, ad.log(p)), axis=-1), -1.0)
+                loss = ad.mean(rows)
+            else:  # pseudo-label
+                loss = cross_entropy(logits, preds)
+            state.optimizer.zero_grad()
+            ad.backward(loss)
+        except BaseException:
+            ad.active_graph().clear()
+            raise
         state.optimizer.step()
         loss_value = loss.item()
     state.step += 1

@@ -21,7 +21,7 @@ from .data import (
     load_meta,
     save_dataset,
 )
-from .errors import TsadaptError
+from .errors import ConfigurationError, TsadaptError
 from .experiment import (
     ABLATION_PRESETS,
     HYPERPARAM_PRESETS,
@@ -44,7 +44,6 @@ def _add_accup_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--ensemble-weight", type=float, default=None)
-    p.add_argument("--ensemble-mode", choices=("fixed", "learnable"), default=None)
     p.add_argument("--bn-policy", choices=("batch", "running"), default=None)
 
 
@@ -55,8 +54,7 @@ def _accup_from_args(args, base: AccupConfig | None = None) -> AccupConfig:
     if args.ablation:
         cfg = apply_preset(cfg, args.ablation)
     overrides = {}
-    for name in ("k_support", "eta", "tau", "lr", "ensemble_weight",
-                 "ensemble_mode", "bn_policy"):
+    for name in ("k_support", "eta", "tau", "lr", "ensemble_weight", "bn_policy"):
         v = getattr(args, name)
         if v is not None:
             overrides[name] = v
@@ -107,6 +105,14 @@ def cmd_generate_data(args) -> int:
     return 0
 
 
+def _parse_list(flag: str, text: str, parse) -> list:
+    """Parse a comma-separated flag value item by item."""
+    try:
+        return [parse(v) for v in text.split(",")]
+    except ValueError as err:
+        raise ConfigurationError(f"{flag} {text!r}: {err}") from None
+
+
 def _experiment_from_args(args) -> ExperimentConfig:
     if args.config:
         config = ExperimentConfig.from_json_file(args.config)
@@ -116,13 +122,13 @@ def _experiment_from_args(args) -> ExperimentConfig:
             output_dir=args.out,
         )
     overrides = {}
-    if args.strategy:
+    if args.strategy is not None:
         overrides["strategy"] = args.strategy
-    if args.seeds:
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+    if args.seeds is not None:
+        overrides["seeds"] = tuple(_parse_list("--seeds", args.seeds, int))
     if args.batch_size is not None:
         overrides["batch_size"] = args.batch_size
-    if args.model:
+    if args.model is not None:
         overrides["model_path"] = args.model
     if args.epochs is not None:
         overrides["pretrain_epochs"] = args.epochs
@@ -147,7 +153,7 @@ def cmd_adapt(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _experiment_from_args(args)
-    values = [json.loads(v) for v in args.values.split(",")]
+    values = _parse_list("--values", args.values, json.loads)
     rows = run_sweep(config, args.param, values, workers=args.workers)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,7 @@ from .errors import (
     ContractError,
     FormatError,
     LabelRangeError,
+    reject_unknown_keys,
 )
 
 _MAGIC = b"TTSD"
@@ -267,6 +268,7 @@ class ShiftSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShiftSpec":
+        reject_unknown_keys(d, cls)
         amp = d.get("amplitude", 1.0)
         return cls(
             channels=int(d.get("channels", 2)),

@@ -23,7 +23,7 @@ from .backbone import EncoderConfig, Model, load_model, pretrain_source, save_mo
 from .baselines import KINDS as BASELINE_KINDS
 from .baselines import StrategyConfig
 from .data import DatasetMeta, ShiftSpec, generate_shifted_pair, load_dataset, make_stream
-from .errors import ConfigurationError, ConformanceError, TsadaptError
+from .errors import ConfigurationError, ConformanceError, TsadaptError, reject_unknown_keys
 from .metrics import aggregate_reports
 
 STRATEGIES = ("accup",) + BASELINE_KINDS
@@ -97,7 +97,9 @@ class DirectoryData:
 
 
 def data_from_dict(d: dict):
+    rest = {k: v for k, v in d.items() if k != "kind"}
     if d.get("kind") == "synthetic":
+        reject_unknown_keys(rest, SyntheticData)
         return SyntheticData(
             source=ShiftSpec.from_dict(d["source"]),
             target=ShiftSpec.from_dict(d["target"]),
@@ -106,7 +108,9 @@ def data_from_dict(d: dict):
             gen_seed=int(d.get("gen_seed", 0)),
         )
     if d.get("kind") == "directory":
+        reject_unknown_keys(rest, DirectoryData)
         m = d["meta"]
+        reject_unknown_keys(m, DatasetMeta)
         return DirectoryData(
             path=d["path"],
             meta=DatasetMeta(m["name"], int(m["channels"]), int(m["classes"]),
@@ -152,8 +156,8 @@ class ExperimentConfig:
             raise ConfigurationError("seeds list must be non-empty")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.model_path is not None and not Path(self.model_path).exists():
-            raise ConfigurationError(f"model snapshot {self.model_path!r} does not exist")
+        if self.model_path is not None and not Path(self.model_path).is_file():
+            raise ConfigurationError(f"model snapshot {self.model_path!r} is not a file")
         if isinstance(self.data, DirectoryData) and not Path(self.data.path).exists():
             raise ConfigurationError(f"dataset directory {self.data.path!r} does not exist")
 
@@ -178,6 +182,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         kw = dict(d)
+        reject_unknown_keys(kw, cls)
         if "data" in kw:
             kw["data"] = data_from_dict(kw["data"])
         if "accup" in kw:

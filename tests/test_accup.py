@@ -12,7 +12,6 @@ from tsadapt.accup import (
     ensemble,
     entropy_compare,
     export_support_set,
-    make_ensemble_weight,
     prototype_logits,
     shannon_entropy,
     update_support,
@@ -165,24 +164,6 @@ class TestEnsemble:
         for w in (0.0, 1.0, -0.3, 1.7):
             with pytest.raises(ConfigurationError):
                 ensemble(f, f, f, f, w)
-
-    def test_learnable_mode_starts_at_half(self):
-        w = make_ensemble_weight()
-        f_raw, f_aug = Tensor([[2.0, 0.0]]), Tensor([[0.0, 2.0]])
-        fe, _ = ensemble(f_raw, Tensor([[1.0]]), f_aug, Tensor([[3.0]]), w, "learnable")
-        np.testing.assert_array_equal(fe.data, [[1.0, 1.0]])
-
-    def test_learnable_weight_receives_gradient(self):
-        w = make_ensemble_weight()
-        f_raw = Tensor(np.random.default_rng(3).normal(size=(2, 4)))
-        f_aug = Tensor(np.random.default_rng(4).normal(size=(2, 4)))
-        p = Tensor(np.random.default_rng(5).normal(size=(2, 3)))
-
-        def loss_fn():
-            fe, _ = ensemble(f_raw, p, f_aug, p, w, "learnable")
-            return ad.tensor_sum(ad.mul(fe, fe))
-
-        assert finite_difference_max_rel_error(loss_fn, [w]) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +473,6 @@ class TestContrastiveLoss:
         assert finite_difference_max_rel_error(
             lambda: contrastive_loss(p, labels, 0.7), [p]
         ) < 1e-4
-
-    def test_raw_anchor_mode_drops_second_half(self):
-        rng = np.random.default_rng(22)
-        p = rng.normal(size=(6, 4))
-        labels = np.array([0, 1, 0, 0, 1, 0])
-        restricted = contrastive_loss(Tensor(p), labels, 0.7, anchors="raw").item()
-        sims = cos_matrix(p)
-        expected = 0.0
-        for i in range(3):
-            pos = [j for j in range(6) if j != i and labels[j] == labels[i]]
-            neg = [k for k in range(6) if labels[k] != labels[i]]
-            if not pos or not neg:
-                continue
-            denom = sum(np.exp(sims[i, k] / 0.7) for k in neg)
-            expected += -sum(np.log(np.exp(sims[i, j] / 0.7) / denom) for j in pos) / len(pos)
-        assert restricted == pytest.approx(expected, abs=1e-12)
 
     def test_invalid_temperature(self):
         with pytest.raises(ConfigurationError):

@@ -4,16 +4,27 @@ The stream-discipline tests of TestRunStream run every strategy in
 experiment.STRATEGIES through the one loop.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import tsadapt.accup as acc
+import tsadapt.autodiff as ad
 from tsadapt.accup import AccupConfig
-from tsadapt.adapt import AdaptState, LayerMask, RunRecord, adapt_batch, run_stream
+from tsadapt.adapt import (
+    AdaptState,
+    LayerMask,
+    RunRecord,
+    accup_batch,
+    adapt_batch,
+    run_stream,
+)
+from tsadapt.augment import apply_augment
 from tsadapt.baselines import StrategyConfig
 from tsadapt.data import TimeSeriesBatch, make_stream
-from tsadapt.errors import ConfigurationError, ContractError
-from tsadapt.experiment import STRATEGIES
+from tsadapt.errors import ConfigurationError, ContractError, NumericDomainError
+from tsadapt.experiment import STRATEGIES, apply_preset
 
 
 def quiet_config(**overrides):
@@ -31,6 +42,17 @@ def stepping_config(strategy: str):
 
 def param_vector(model):
     return np.concatenate([p.data.ravel() for p in model.named_parameters().values()])
+
+
+def unreached_ops(loss):
+    """Ops on the tape whose output the loss does not depend on."""
+    reached, missed = {id(loss)}, []
+    for op, inputs, out, _ in reversed(ad.active_graph().nodes):
+        if id(out) in reached:
+            reached.update(id(t) for t in inputs)
+        else:
+            missed.append(op)
+    return missed
 
 
 class TestLayerMask:
@@ -94,7 +116,9 @@ class TestAdaptBatch:
         for start in (0, 32, 64):
             adapt_batch(state, target.values[start:start + 32])
         np.testing.assert_array_equal(param_vector(state.model), before)
-        assert state.optimizer.t == 3
+        # no loss, so no Adam step is taken; the run still counts its batches
+        assert state.optimizer.t == 0
+        assert state.step == 3
 
     def test_labeled_batches_are_rejected(self, pretrained, shift_data):
         _, target = shift_data
@@ -117,6 +141,34 @@ class TestAdaptBatch:
         for i in range(20):
             adapt_batch(state, target.values[16 * i:16 * (i + 1)])
         assert len(state.support) <= pretrained.n_classes * config.k_support
+
+    def test_tape_holds_only_the_loss_graph(self, pretrained, shift_data):
+        # the ensemble, prototypes and entropy comparison only choose
+        # pseudo-labels; none of their ops may sit on the tape
+        _, target = shift_data
+        config = apply_preset(AccupConfig(), "synthetic")
+        model = pretrained.clone()
+        support = acc.SupportSet.from_classifier(model.cls_weight.data, config.k_support)
+        batch = target.values[:32]
+        x_aug = apply_augment(batch, config.augment, np.random.default_rng(0))
+        try:
+            _, loss = accup_batch(model, batch, x_aug, config, support=support)
+            assert unreached_ops(loss) == []
+        finally:
+            ad.active_graph().clear()
+
+        quiet = replace(config, use_contrast=False)
+        _, loss = accup_batch(model, batch, x_aug, quiet, support=support)
+        assert loss is None and len(ad.active_graph()) == 0
+        adapt_batch(AdaptState(pretrained.clone(), quiet), batch)
+        assert len(ad.active_graph()) == 0
+
+    def test_raising_step_leaves_the_tape_empty(self, pretrained, shift_data):
+        _, target = shift_data
+        state = AdaptState(pretrained.clone(), quiet_config(tau=1e-3))
+        with pytest.raises(NumericDomainError):
+            adapt_batch(state, target.values[:32])
+        assert len(ad.active_graph()) == 0
 
     def test_prototype_call_contract(self, pretrained, shift_data, monkeypatch):
         # perfbench/tracer.py wraps compute_prototypes and reads (support, k)
@@ -142,11 +194,8 @@ class TestAdaptBatch:
 
 class TestModuleSwitchWiring:
     def test_no_prototypes_and_no_entcomp_yield_ensemble_logits(self, pretrained, shift_data):
-        from tsadapt.adapt import accup_batch
-
         _, target = shift_data
         config = quiet_config(use_prototypes=False, use_entropy_comparison=False)
-        import tsadapt.autodiff as ad
         with ad.no_grad():
             outs, _ = accup_batch(pretrained.clone(), target.values[:16],
                                   target.values[:16], config)

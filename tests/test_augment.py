@@ -67,12 +67,6 @@ class TestMagnitudeWarp:
         with pytest.raises(ConfigurationError):
             magnitude_warp(np.zeros((1, 1, 4)), spec, np.random.default_rng(0))
 
-    def test_linear_interpolant(self, batch):
-        spec = AugmentSpec(kind="magnitude-warp", sigma=0.2, interp="linear")
-        out = magnitude_warp(batch, spec, np.random.default_rng(4))
-        assert out.shape == batch.shape
-        assert not np.array_equal(out, batch)
-
 
 class TestOtherAugmentations:
     def test_jitter_sigma_zero_identity(self, batch):

@@ -14,7 +14,7 @@ from tsadapt.baselines import (
     mean_batch_entropy,
 )
 from tsadapt.data import make_stream
-from tsadapt.errors import ConfigurationError, ContractError
+from tsadapt.errors import ConfigurationError, ContractError, DegenerateBatchError
 
 
 class TestStrategyConfig:
@@ -28,6 +28,14 @@ class TestStrategyConfig:
             state = BaselineState(pretrained.clone(), StrategyConfig(kind))
             assert state.optimizer is None
             baseline_adapt_batch(state, target.values[:16])
+
+
+    def test_raising_step_leaves_the_tape_empty(self, pretrained):
+        # one sample of length 2 leaves one value per channel at the second norm
+        state = BaselineState(pretrained.clone(), StrategyConfig("tent"))
+        with pytest.raises(DegenerateBatchError):
+            baseline_adapt_batch(state, np.arange(4.0).reshape(1, 2, 2))
+        assert len(ad.active_graph()) == 0
 
 
 class TestSource:

@@ -153,6 +153,22 @@ class TestAdapt:
         ])
         assert code == 2
 
+    def test_malformed_seed_lists_are_exit_2(self, dataset_dir, tmp_path):
+        # an empty list used to run the default seeds 0, 1, 2
+        for seeds in ("", "1,a", "0,,1"):
+            code = main([
+                "adapt", "--data", str(dataset_dir), "--out", str(tmp_path / "x"),
+                "--strategy", "source", "--seeds", seeds, "--epochs", "1",
+            ])
+            assert code == 2, seeds
+
+    def test_empty_model_path_is_exit_2(self, dataset_dir, tmp_path):
+        code = main([
+            "adapt", "--data", str(dataset_dir), "--out", str(tmp_path / "x"),
+            "--strategy", "source", "--seeds", "0", "--model", "",
+        ])
+        assert code == 2
+
     def test_requires_config_or_data(self):
         assert main(["adapt", "--strategy", "accup"]) == 2
 
@@ -174,6 +190,12 @@ class TestAdapt:
                      "--out", str(tmp_path / "cfg-runs")])
         assert code == 0
 
+    def test_config_file_with_unknown_key_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps({"accup": {"ensemble_mode": "fixed"}}))
+        assert main(["adapt", "--config", str(path)]) == 2
+        assert "ensemble_mode" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_small_grid(self, dataset_dir, tmp_path):
@@ -194,6 +216,24 @@ class TestSweep:
             "--param", "to_dict", "--values", "1",
         ])
         assert code == 2
+
+
+    def test_non_integer_support_size_is_exit_2(self, dataset_dir, tmp_path):
+        code = main([
+            "sweep", "--data", str(dataset_dir), "--out", str(tmp_path / "k"),
+            "--seeds", "0", "--epochs", "1",
+            "--param", "k_support", "--values", "2.5",
+        ])
+        assert code == 2
+
+    def test_malformed_values_are_exit_2(self, dataset_dir, tmp_path):
+        for values in ("a", "1,", ""):
+            code = main([
+                "sweep", "--data", str(dataset_dir), "--out", str(tmp_path / "v"),
+                "--seeds", "0", "--epochs", "1",
+                "--param", "eta", "--values", values,
+            ])
+            assert code == 2, values
 
 
 class TestReport:

@@ -67,6 +67,27 @@ class TestConfig:
             tiny_experiment(tmp_path, model_path=str(tmp_path / "missing.ttaw"))
 
 
+    def test_unknown_keys_are_named(self, tmp_path):
+        # ensemble_mode, anchor_mode and interp are keys that configs written
+        # before their removal still carry
+        for path, key in (((), "seedz"), (("accup",), "ensemble_mod"),
+                          (("accup",), "ensemble_mode"), (("accup",), "anchor_mode"),
+                          (("accup", "augment"), "interp"), (("layer_mask",), "conv_1"),
+                          (("data",), "seed"), (("data", "source"), "amplitud")):
+            d = tiny_experiment(tmp_path).to_dict()
+            node = d
+            for name in path:
+                node = node[name]
+            node[key] = 1
+            with pytest.raises(ConfigurationError, match=key):
+                ExperimentConfig.from_dict(d)
+
+    def test_support_size_must_be_an_integer(self):
+        for k in (2.5, 10.0, "10"):
+            with pytest.raises(ConfigurationError):
+                AccupConfig(k_support=k)
+
+
 class TestPresets:
     def test_dataset_presets_carry_documented_values(self):
         assert HYPERPARAM_PRESETS["ucihar"] == {"k_support": 10, "eta": 20.0,
