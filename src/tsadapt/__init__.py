@@ -6,7 +6,8 @@ The package is organized around a small float64 autodiff engine
 adaptation math (`tsadapt.accup`), the single-pass streaming loop shared by
 every strategy (`tsadapt.adapt`), reference baselines (`tsadapt.baselines`),
 dataset and generator utilities (`tsadapt.data`), and the evaluation layer
-(`tsadapt.metrics`, `tsadapt.experiment`, `tsadapt.cli`).
+(`tsadapt.metrics`, `tsadapt.experiment`, `tsadapt.cli`). Every config
+dataclass reads and writes its JSON form through `tsadapt.config`.
 """
 
 from .accup import (

@@ -14,7 +14,6 @@ does not grow with the stream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -23,7 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .augment import AugmentSpec
-from .errors import ConfigurationError, ContractError, NumericDomainError, reject_unknown_keys
+from .config import Record
+from .errors import ConfigurationError, ContractError, NumericDomainError
 
 
 def shannon_entropy(logits) -> np.ndarray:
@@ -224,7 +224,7 @@ class EnsembleOutput:
 
 
 @dataclass
-class AccupConfig:
+class AccupConfig(Record):
     """Hyperparameters and module switches of the adaptation method.
 
     k_support, eta and tau control the prototype filter, the prototype
@@ -261,34 +261,3 @@ class AccupConfig:
             raise ConfigurationError(f"lr must be >= 0, got {self.lr}")
         if self.bn_policy not in ("batch", "running"):
             raise ConfigurationError(f"unknown bn policy {self.bn_policy!r}")
-
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["augment"] = self.augment.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AccupConfig":
-        d = dict(d)
-        reject_unknown_keys(d, cls)
-        if "augment" in d and isinstance(d["augment"], dict):
-            d["augment"] = AugmentSpec.from_dict(d["augment"])
-        return cls(**d)
-
-
-def export_support_set(path, support: SupportSet) -> None:
-    """Dump the support set for inspection: tensor container + JSON metadata.
-
-    Class c's tensors hold its retained rows in (entropy, insertion order);
-    row 0 is the entry seeded from the classifier weights, which has entropy
-    0 and was inserted first.
-    """
-    tensors = {}
-    meta = {"n_classes": support.n_classes, "feature_dim": support.feature_dim}
-    for c in range(support.n_classes):
-        tensors[f"class{c}.features"] = support.features[c]
-        tensors[f"class{c}.logits"] = support.logits[c]
-        tensors[f"class{c}.entropy"] = support.entropies[c]
-    ad.save_tensors(path, tensors)
-    with open(f"{path}.json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)

@@ -27,13 +27,14 @@ from .accup import AccupConfig, EnsembleOutput, PrototypeSet, SupportSet
 from .augment import apply_augment
 from .backbone import Model, classify, encode
 from .baselines import BaselineState, StrategyConfig, baseline_adapt_batch
-from .errors import ConfigurationError, ContractError, NumericDomainError, reject_unknown_keys
+from .config import Record
+from .errors import ConfigurationError, ContractError
 from .metrics import MacroF1Report, macro_f1
 from .optim import Adam
 
 
 @dataclass(frozen=True)
-class LayerMask:
+class LayerMask(Record):
     """Which encoder blocks receive gradient updates during adaptation."""
 
     conv1: bool = True
@@ -46,15 +47,6 @@ class LayerMask:
     def __post_init__(self):
         if not any(self.blocks()):
             raise ConfigurationError("at least one encoder block must stay trainable")
-
-    def to_dict(self) -> dict:
-        return {"conv1": self.conv1, "conv2": self.conv2, "conv3": self.conv3}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LayerMask":
-        reject_unknown_keys(d, cls)
-        return cls(bool(d.get("conv1", True)), bool(d.get("conv2", True)),
-                   bool(d.get("conv3", True)))
 
 
 @dataclass
@@ -218,7 +210,8 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
     Returns (predictions, loss value, state). The predictions come from the
     pre-update forward pass. Without the contrastive loss the step records
     no graph and takes no backward and no Adam step; the loss is 0.0. A
-    step that raises leaves the shared tape empty.
+    step that raises leaves the shared tape empty, and a NumericDomainError
+    names the stream step ("step N: exp: ...").
     """
     if not isinstance(values, np.ndarray):
         raise ContractError(
@@ -226,19 +219,14 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
         )
     cfg = state.config
     x_aug = apply_augment(values, cfg.augment, state.rng) if cfg.use_augmentation else None
-    try:
+    with ad.active_graph().guard(f"step {state.step}"):
         outputs, loss = accup_batch(state.model, values, x_aug, cfg, support=state.support)
         loss_value = 0.0
         if loss is not None:
-            if not np.isfinite(loss.data):
-                raise NumericDomainError(f"non-finite adaptation loss at step {state.step}")
             state.optimizer.zero_grad()
             ad.backward(loss)
             state.optimizer.step()
             loss_value = loss.item()
-    except BaseException:
-        ad.active_graph().clear()
-        raise
     state.step += 1
     return outputs.pseudo_labels, loss_value, state
 

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigurationError, ContractError, reject_unknown_keys
+from .config import Record
+from .errors import ConfigurationError, ContractError
 
 KINDS = ("magnitude-warp", "jitter", "scale", "permutation", "compose", "none")
 
 
 @dataclass(frozen=True)
-class AugmentSpec:
+class AugmentSpec(Record):
     """One augmentation (or a left-to-right composition of several).
 
     sigma is the dispersion of the warp/jitter/scale draw, knots the number
@@ -30,7 +31,7 @@ class AugmentSpec:
     sigma: float = 0.2
     knots: int = 4
     segments: int = 5
-    parts: tuple = ()
+    parts: tuple[AugmentSpec, ...] = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -43,25 +44,6 @@ class AugmentSpec:
             raise ConfigurationError(f"segments must be >= 1, got {self.segments}")
         if self.kind == "compose" and not self.parts:
             raise ConfigurationError("compose needs a non-empty part list")
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "sigma": self.sigma, "knots": self.knots,
-             "segments": self.segments}
-        if self.kind == "compose":
-            d["parts"] = [p.to_dict() for p in self.parts]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AugmentSpec":
-        reject_unknown_keys(d, cls)
-        parts = tuple(cls.from_dict(p) for p in d.get("parts", []))
-        return cls(
-            kind=d.get("kind", "magnitude-warp"),
-            sigma=float(d.get("sigma", 0.2)),
-            knots=int(d.get("knots", 4)),
-            segments=int(d.get("segments", 5)),
-            parts=parts,
-        )
 
 
 def _require_kind(spec: AugmentSpec, kind: str) -> None:

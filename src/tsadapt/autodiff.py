@@ -115,6 +115,20 @@ class Graph:
     def clear(self) -> None:
         self.nodes.clear()
 
+    @contextmanager
+    def guard(self, label: str):
+        """Clear the tape if the block raises, so no stale node reaches the
+        next backward. A NumericDomainError is re-raised with `label`
+        prefixed to its message."""
+        try:
+            yield
+        except NumericDomainError as err:
+            self.clear()
+            raise NumericDomainError(f"{label}: {err}") from err
+        except BaseException:
+            self.clear()
+            raise
+
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -341,19 +355,6 @@ def softmax(a: Tensor) -> Tensor:
     return _emit("softmax", (a,), s, bwd)
 
 
-def l2_norm(a: Tensor) -> Tensor:
-    """Euclidean norm over the last axis; gradient defined as 0 at the origin."""
-    a = _as_tensor(a)
-    n = np.sqrt((a.data * a.data).sum(axis=-1))
-    safe = np.where(n == 0.0, 1.0, n)
-    da = a.data
-
-    def bwd(g):
-        return ((g / safe)[..., None] * da,)
-
-    return _emit("l2-norm", (a,), n, bwd)
-
-
 def cosine_pairs(a: Tensor, b: Tensor) -> Tensor:
     """Pairwise cosine similarity between rows of a (n,d) and b (m,d).
 
@@ -402,25 +403,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(pieces)
 
     return _emit("concatenate", tensors, np.concatenate([t.data for t in tensors], axis=axis), bwd)
-
-
-def index_select(a: Tensor, indices, axis: int = 0) -> Tensor:
-    a = _as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ContractError("index-select expects a flat index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[axis]):
-        raise ConformanceError(
-            f"index-select: indices out of range for extent {a.shape[axis]}"
-        )
-    shape = a.shape
-
-    def bwd(g):
-        dz = np.zeros(shape)
-        np.add.at(np.moveaxis(dz, axis, 0), idx, np.moveaxis(g, axis, 0))
-        return (dz,)
-
-    return _emit("index-select", (a,), np.take(a.data, idx, axis=axis), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BNState, Tensor
-from .errors import ConformanceError, ContractError, LabelRangeError, reject_unknown_keys
+from .config import Record
+from .errors import ConformanceError, ContractError, LabelRangeError
 
 BN_MODES = ("train-stats", "running-stats")
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(Record):
     """Shape of the encoder: three blocks of (filters, kernel, stride, pool).
 
     Convolutions use padding = kernel // 2 ("same" up to parity), so pooling
@@ -29,10 +30,10 @@ class EncoderConfig:
     """
 
     in_channels: int
-    filters: tuple = (64, 128, 128)
-    kernel_sizes: tuple = (8, 5, 3)
-    strides: tuple = (1, 1, 1)
-    pool_widths: tuple = (2, 2, 2)
+    filters: tuple[int, ...] = (64, 128, 128)
+    kernel_sizes: tuple[int, ...] = (8, 5, 3)
+    strides: tuple[int, ...] = (1, 1, 1)
+    pool_widths: tuple[int, ...] = (2, 2, 2)
 
     def __post_init__(self):
         if self.in_channels < 1:
@@ -44,26 +45,6 @@ class EncoderConfig:
     @property
     def feature_dim(self) -> int:
         return self.filters[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "filters": list(self.filters),
-            "kernel_sizes": list(self.kernel_sizes),
-            "strides": list(self.strides),
-            "pool_widths": list(self.pool_widths),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        reject_unknown_keys(d, cls)
-        return cls(
-            in_channels=int(d["in_channels"]),
-            filters=tuple(d.get("filters", (64, 128, 128))),
-            kernel_sizes=tuple(d.get("kernel_sizes", (8, 5, 3))),
-            strides=tuple(d.get("strides", (1, 1, 1))),
-            pool_widths=tuple(d.get("pool_widths", (2, 2, 2))),
-        )
 
 
 class ConvBlock:

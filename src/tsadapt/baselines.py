@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .accup import shannon_entropy
 from .backbone import Model, cross_entropy, forward
 from .errors import ConfigurationError, ContractError
 from .optim import Adam
@@ -35,9 +34,6 @@ class StrategyConfig:
     def takes_step(self) -> bool:
         return self.kind in ("tent", "pseudo-label")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "lr": self.lr}
-
 
 class BaselineState:
     def __init__(self, model: Model, config: StrategyConfig):
@@ -57,21 +53,21 @@ def baseline_adapt_batch(state: BaselineState, values: np.ndarray):
     Returns (predictions, loss value, state), like `adapt.adapt_batch`. The
     predictions come from the pre-update forward; strategies that take no
     step report a loss of 0.0. A step that raises leaves the shared tape
-    empty.
+    empty, and a NumericDomainError names the stream step.
     """
     if not isinstance(values, np.ndarray):
         raise ContractError(
             "baseline_adapt_batch takes a bare (B, Cin, L) value array"
         )
     kind = state.config.kind
-    if not state.config.takes_step():
-        bn_mode = "running-stats" if kind == "source" else "train-stats"
-        with ad.no_grad():
-            _, logits = forward(state.model, values, bn_mode=bn_mode)
-        preds = logits.data.argmax(axis=1)
-        loss_value = 0.0
-    else:
-        try:
+    loss_value = 0.0
+    with ad.active_graph().guard(f"step {state.step}"):
+        if not state.config.takes_step():
+            bn_mode = "running-stats" if kind == "source" else "train-stats"
+            with ad.no_grad():
+                _, logits = forward(state.model, values, bn_mode=bn_mode)
+            preds = logits.data.argmax(axis=1)
+        else:
             _, logits = forward(state.model, values, bn_mode="train-stats")
             preds = logits.data.argmax(axis=1)
             if kind == "tent":
@@ -82,17 +78,7 @@ def baseline_adapt_batch(state: BaselineState, values: np.ndarray):
                 loss = cross_entropy(logits, preds)
             state.optimizer.zero_grad()
             ad.backward(loss)
-        except BaseException:
-            ad.active_graph().clear()
-            raise
-        state.optimizer.step()
-        loss_value = loss.item()
+            state.optimizer.step()
+            loss_value = loss.item()
     state.step += 1
     return preds, loss_value, state
-
-
-def mean_batch_entropy(model: Model, values: np.ndarray, bn_mode: str = "train-stats") -> float:
-    """Mean Shannon entropy of the model's predictions on one batch."""
-    with ad.no_grad():
-        _, logits = forward(model, values, bn_mode=bn_mode)
-    return float(shannon_entropy(logits.data).mean())

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import Record
 from .errors import (
     ConfigurationError,
     ConformanceError,
     ContractError,
     FormatError,
     LabelRangeError,
-    reject_unknown_keys,
 )
 
 _MAGIC = b"TTSD"
@@ -57,12 +57,9 @@ class TimeSeriesBatch:
     def __len__(self) -> int:
         return len(self.values)
 
-    def without_labels(self) -> "TimeSeriesBatch":
-        return TimeSeriesBatch(self.values, None)
-
 
 @dataclass(frozen=True)
-class DatasetMeta:
+class DatasetMeta(Record):
     name: str
     channels: int
     classes: int
@@ -171,14 +168,14 @@ def save_dataset(directory, train: TimeSeriesBatch, test: TimeSeriesBatch,
     save_split(d / "train.ttsd", train, meta.classes)
     save_split(d / "test.ttsd", test, meta.classes)
     with open(d / "meta.json", "w") as f:
-        json.dump(asdict(meta), f, indent=2, sort_keys=True)
+        json.dump(meta.to_dict(), f, indent=2, sort_keys=True)
 
 
 def load_meta(directory) -> DatasetMeta:
     """Read the DatasetMeta that save_dataset wrote into a directory."""
     with open(Path(directory) / "meta.json") as f:
         m = json.load(f)
-    return DatasetMeta(**{"name": "custom", **m})
+    return DatasetMeta.from_dict({"name": "custom", **m})
 
 
 def load_dataset(directory, meta: DatasetMeta):
@@ -205,7 +202,7 @@ def load_dataset(directory, meta: DatasetMeta):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ShiftSpec:
+class ShiftSpec(Record):
     """Class-conditional sinusoid-plus-noise generator parameters.
 
     Classes are told apart by frequency (cycles per window) so that amplitude
@@ -216,12 +213,12 @@ class ShiftSpec:
 
     channels: int = 2
     length: int = 64
-    class_freqs: tuple = (2.0, 5.0, 8.0)
-    class_phases: tuple | None = None
-    amplitude: tuple | float = 1.0
+    class_freqs: tuple[float, ...] = (2.0, 5.0, 8.0)
+    class_phases: tuple[float, ...] | None = None
+    amplitude: float | tuple[float, ...] = 1.0
     noise_std: float = 0.1
     offset: float = 0.0
-    class_probs: tuple | None = None
+    class_probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if len(set(self.class_freqs)) != len(self.class_freqs):
@@ -253,33 +250,6 @@ class ShiftSpec:
         if self.class_probs is None:
             return np.full(self.n_classes, 1.0 / self.n_classes)
         return np.asarray(self.class_probs, dtype=np.float64)
-
-    def to_dict(self) -> dict:
-        return {
-            "channels": self.channels,
-            "length": self.length,
-            "class_freqs": list(self.class_freqs),
-            "class_phases": None if self.class_phases is None else list(self.class_phases),
-            "amplitude": self.amplitude if np.isscalar(self.amplitude) else list(self.amplitude),
-            "noise_std": self.noise_std,
-            "offset": self.offset,
-            "class_probs": None if self.class_probs is None else list(self.class_probs),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShiftSpec":
-        reject_unknown_keys(d, cls)
-        amp = d.get("amplitude", 1.0)
-        return cls(
-            channels=int(d.get("channels", 2)),
-            length=int(d.get("length", 64)),
-            class_freqs=tuple(d.get("class_freqs", (2.0, 5.0, 8.0))),
-            class_phases=None if d.get("class_phases") is None else tuple(d["class_phases"]),
-            amplitude=amp if np.isscalar(amp) else tuple(amp),
-            noise_std=float(d.get("noise_std", 0.1)),
-            offset=float(d.get("offset", 0.0)),
-            class_probs=None if d.get("class_probs") is None else tuple(d["class_probs"]),
-        )
 
 
 def _quota_labels(n: int, probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

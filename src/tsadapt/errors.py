@@ -4,8 +4,6 @@ Each class carries the CLI exit code used when it escapes to the top level:
 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 """
 
-from dataclasses import fields
-
 
 class TsadaptError(Exception):
     """Base class for all package errors."""
@@ -53,11 +51,3 @@ class NumericDomainError(TsadaptError):
     """An operation produced (or was fed) non-finite values."""
 
     exit_code = 4
-
-
-def reject_unknown_keys(d: dict, config_cls) -> None:
-    """Raise ConfigurationError naming every key of d that is not a field of
-    the dataclass config_cls."""
-    unknown = sorted(set(d) - {f.name for f in fields(config_cls)})
-    if unknown:
-        raise ConfigurationError(f"unknown {config_cls.__name__} key(s): {', '.join(unknown)}")

@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .accup import AccupConfig
@@ -23,7 +23,8 @@ from .backbone import EncoderConfig, Model, load_model, pretrain_source, save_mo
 from .baselines import KINDS as BASELINE_KINDS
 from .baselines import StrategyConfig
 from .data import DatasetMeta, ShiftSpec, generate_shifted_pair, load_dataset, make_stream
-from .errors import ConfigurationError, ConformanceError, TsadaptError, reject_unknown_keys
+from .config import Record
+from .errors import ConfigurationError, ConformanceError, TsadaptError
 from .metrics import aggregate_reports
 
 STRATEGIES = ("accup",) + BASELINE_KINDS
@@ -56,8 +57,10 @@ def apply_preset(config: AccupConfig, preset: str) -> AccupConfig:
 
 
 @dataclass
-class SyntheticData:
+class SyntheticData(Record):
     """A generated source/target pair, reproducible from gen_seed."""
+
+    KIND = "synthetic"
 
     source: ShiftSpec
     target: ShiftSpec
@@ -65,58 +68,15 @@ class SyntheticData:
     n_target: int = 1600
     gen_seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "synthetic",
-            "source": self.source.to_dict(),
-            "target": self.target.to_dict(),
-            "n_source": self.n_source,
-            "n_target": self.n_target,
-            "gen_seed": self.gen_seed,
-        }
-
 
 @dataclass
-class DirectoryData:
+class DirectoryData(Record):
     """A dataset directory holding train/test splits in a known profile."""
+
+    KIND = "directory"
 
     path: str
     meta: DatasetMeta
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "directory",
-            "path": str(self.path),
-            "meta": {
-                "name": self.meta.name,
-                "channels": self.meta.channels,
-                "classes": self.meta.classes,
-                "length": self.meta.length,
-            },
-        }
-
-
-def data_from_dict(d: dict):
-    rest = {k: v for k, v in d.items() if k != "kind"}
-    if d.get("kind") == "synthetic":
-        reject_unknown_keys(rest, SyntheticData)
-        return SyntheticData(
-            source=ShiftSpec.from_dict(d["source"]),
-            target=ShiftSpec.from_dict(d["target"]),
-            n_source=int(d.get("n_source", 384)),
-            n_target=int(d.get("n_target", 1600)),
-            gen_seed=int(d.get("gen_seed", 0)),
-        )
-    if d.get("kind") == "directory":
-        reject_unknown_keys(rest, DirectoryData)
-        m = d["meta"]
-        reject_unknown_keys(m, DatasetMeta)
-        return DirectoryData(
-            path=d["path"],
-            meta=DatasetMeta(m["name"], int(m["channels"]), int(m["classes"]),
-                             int(m["length"])),
-        )
-    raise ConfigurationError(f"unknown data kind {d.get('kind')!r}")
 
 
 def default_synthetic_scenario() -> SyntheticData:
@@ -132,7 +92,7 @@ def default_synthetic_scenario() -> SyntheticData:
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     scenario: str = "synthetic-shift"
     strategy: str = "accup"
     data: SyntheticData | DirectoryData = field(default_factory=default_synthetic_scenario)
@@ -140,7 +100,7 @@ class ExperimentConfig:
     baseline_lr: float = 1e-3
     layer_mask: LayerMask = field(default_factory=LayerMask)
     batch_size: int = 32
-    seeds: tuple = (0, 1, 2)
+    seeds: tuple[int, ...] = (0, 1, 2)
     # EncoderConfig overrides; the compact default keeps desk-scale runs fast
     encoder: dict = field(default_factory=lambda: {"filters": [16, 24, 24]})
     pretrain_epochs: int = 40
@@ -161,42 +121,14 @@ class ExperimentConfig:
         if isinstance(self.data, DirectoryData) and not Path(self.data.path).exists():
             raise ConfigurationError(f"dataset directory {self.data.path!r} does not exist")
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "strategy": self.strategy,
-            "data": self.data.to_dict(),
-            "accup": self.accup.to_dict(),
-            "baseline_lr": self.baseline_lr,
-            "layer_mask": self.layer_mask.to_dict(),
-            "batch_size": self.batch_size,
-            "seeds": list(self.seeds),
-            "encoder": dict(self.encoder),
-            "pretrain_epochs": self.pretrain_epochs,
-            "pretrain_batch": self.pretrain_batch,
-            "pretrain_lr": self.pretrain_lr,
-            "model_path": self.model_path,
-            "output_dir": str(self.output_dir),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        kw = dict(d)
-        reject_unknown_keys(kw, cls)
-        if "data" in kw:
-            kw["data"] = data_from_dict(kw["data"])
-        if "accup" in kw:
-            kw["accup"] = AccupConfig.from_dict(kw["accup"])
-        if "layer_mask" in kw:
-            kw["layer_mask"] = LayerMask.from_dict(kw["layer_mask"])
-        if "seeds" in kw:
-            kw["seeds"] = tuple(int(s) for s in kw["seeds"])
-        return cls(**kw)
-
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            try:
+                d = json.load(f)
+            except json.JSONDecodeError as err:
+                raise ConfigurationError(f"{path}: malformed JSON: {err}") from None
+        return cls.from_dict(d)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -312,9 +244,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True):
 
 
 def _sweep_entry(args):
-    config_dict, param, value = args
-    config = ExperimentConfig.from_dict(config_dict)
-    config = replace(config, accup=replace(config.accup, **{param: value}))
+    config, param, value = args
     report, _ = run_experiment(config, write=False)
     return {
         "param": param,
@@ -325,10 +255,14 @@ def _sweep_entry(args):
 
 
 def run_sweep(config: ExperimentConfig, param: str, values, workers: int = 1) -> list:
-    """Grid over one AccupConfig field; entries run in a process pool."""
-    if param not in {f.name for f in fields(AccupConfig)}:
-        raise ConfigurationError(f"unknown sweep parameter {param!r}")
-    jobs = [(config.to_dict(), param, v) for v in values]
+    """Grid over one AccupConfig field; entries run in a process pool.
+
+    Every value is read through the config codec before any entry runs, so
+    an unknown field or a wrong-typed value raises ConfigurationError first.
+    """
+    base = config.accup.to_dict()
+    jobs = [(replace(config, accup=AccupConfig.from_dict({**base, param: v})), param, v)
+            for v in values]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_entry, jobs))

@@ -1,5 +1,7 @@
 """Shared test helpers: finite differences, toy models, a tiny shift scenario."""
 
+import json
+
 import pytest
 
 import tsadapt.autodiff as ad
@@ -49,6 +51,35 @@ def tiny_model(n_classes=3, in_channels=2, seed=0):
         pool_widths=(2, 1, 2),
     )
     return Model(config, n_classes, seed=seed)
+
+
+# (dotted key, value) pairs the experiment config reader must reject, naming
+# the key: strings for bools, floats for ints, non-lists for lists
+WRONG_TYPED_CONFIG_VALUES = [
+    ("accup.use_contrast", "false"),
+    ("layer_mask.conv1", "false"),
+    ("accup.augment.knots", 2.9),
+    ("data.source.channels", 2.7),
+    ("seeds", ["a"]),
+    ("seeds", 5),
+    ("batch_size", "x"),
+    ("accup.eta", "big"),
+    ("accup", [1]),
+    ("data.kind", "tape"),
+    ("data.kind", ["synthetic"]),
+]
+WRONG_TYPED_CONFIG_IDS = [f"{key}={json.dumps(value)}"
+                          for key, value in WRONG_TYPED_CONFIG_VALUES]
+
+
+def set_dotted(d: dict, key: str, value) -> dict:
+    """Set d[a][b][c] = value for key "a.b.c"; returns d."""
+    *parents, last = key.split(".")
+    node = d
+    for name in parents:
+        node = node[name]
+    node[last] = value
+    return d
 
 
 SOURCE_SPEC = ShiftSpec(amplitude=0.1, noise_std=0.03)

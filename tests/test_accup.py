@@ -11,7 +11,6 @@ from tsadapt.accup import (
     contrastive_loss,
     ensemble,
     entropy_compare,
-    export_support_set,
     prototype_logits,
     shannon_entropy,
     update_support,
@@ -208,18 +207,6 @@ class TestSupportSet:
         with pytest.raises(ContractError):
             update_support(support, np.zeros((1, 5)), np.array([[0.0, 1.0, 0.0]]),
                            [0.5], [2])
-
-    def test_export_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        support, history = random_support_set(rng)
-        path = tmp_path / "support.ttaw"
-        export_support_set(path, support)
-        tensors = ad.load_tensors(path)
-        for c, rows in enumerate(history):
-            kept = kept_rows(rows, support.k)
-            np.testing.assert_array_equal(tensors[f"class{c}.features"],
-                                          np.stack([f for f, _ in kept]))
-            np.testing.assert_array_equal(tensors[f"class{c}.entropy"], [h for _, h in kept])
 
 
 class TestComputePrototypes:

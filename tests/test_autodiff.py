@@ -79,10 +79,8 @@ class TestPrimitiveSemantics:
         with pytest.raises(NumericDomainError):
             ad.exp(Tensor([1000.0]))
 
-    def test_index_select_and_concat(self):
+    def test_concat(self):
         t = Tensor([[1.0, 2], [3, 4], [5, 6]])
-        picked = ad.index_select(t, [2, 0])
-        np.testing.assert_array_equal(picked.data, [[5.0, 6], [1, 2]])
         both = ad.concat([t, t], axis=0)
         assert both.shape == (6, 2)
 
@@ -368,23 +366,24 @@ class TestFiniteDifferences:
             (lambda: ad.tensor_sum(ad.mul(ad.log(ad.softmax(x)), y)), [x, y]),
             (lambda: ad.tensor_sum(ad.relu(x)), [x]),
             (lambda: ad.tensor_sum(ad.mean(x, axis=1)), [x]),
-            (lambda: ad.tensor_sum(ad.l2_norm(x)), [x]),
         ]
         for fn, tensors in cases:
             assert finite_difference_max_rel_error(fn, tensors) < 1e-4
 
-    def test_matmul_linear_concat_select(self):
+    def test_matmul_linear_concat(self):
         rng = np.random.default_rng(11)
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         bias = Tensor(rng.normal(size=(5,)), requires_grad=True)
+        mix = Tensor(rng.normal(size=(4, 3)))
         assert finite_difference_max_rel_error(
             lambda: ad.tensor_sum(ad.matmul(a, b)), [a, b]) < 1e-4
         assert finite_difference_max_rel_error(
             lambda: ad.tensor_sum(ad.linear(a, w, bias)), [a, w, bias]) < 1e-4
         assert finite_difference_max_rel_error(
-            lambda: ad.tensor_sum(ad.concat([a, ad.index_select(a, [1, 0])])), [a]) < 1e-4
+            lambda: ad.tensor_sum(ad.mul(ad.concat([a, ad.scalar_mul(a, 2.0)]), mix)),
+            [a]) < 1e-4
 
     def test_cosine_pairs(self):
         rng = np.random.default_rng(12)

@@ -7,6 +7,9 @@ import sys
 import pytest
 
 from tsadapt.cli import main
+from tsadapt.experiment import ExperimentConfig
+
+from conftest import WRONG_TYPED_CONFIG_IDS, WRONG_TYPED_CONFIG_VALUES, set_dotted
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +199,19 @@ class TestAdapt:
         assert main(["adapt", "--config", str(path)]) == 2
         assert "ensemble_mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", WRONG_TYPED_CONFIG_VALUES + [("", None)],
+                             ids=WRONG_TYPED_CONFIG_IDS + ["malformed-json"])
+    def test_wrong_typed_config_file_is_exit_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "experiment.json"
+        text = json.dumps(ExperimentConfig().to_dict())
+        if key:
+            text = json.dumps(set_dotted(json.loads(text), key, value))
+        else:  # a malformed file: the error names the file instead
+            text, key = text[:-20], path.name
+        path.write_text(text)
+        assert main(["adapt", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestSweep:
     def test_small_grid(self, dataset_dir, tmp_path):
@@ -225,6 +241,29 @@ class TestSweep:
             "--param", "k_support", "--values", "2.5",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("param, values", [
+        ("eta", '"x"'), ("use_contrast", '"false"'), ("augment", '{"knots":2.5}'),
+        ("augment", '"jitter"'),
+    ])
+    def test_wrong_typed_values_are_exit_2(self, dataset_dir, tmp_path, capsys, param, values):
+        code = main([
+            "sweep", "--data", str(dataset_dir), "--out", str(tmp_path / "w"),
+            "--seeds", "0", "--epochs", "1", "--param", param, "--values", values,
+        ])
+        assert code == 2
+        assert param in capsys.readouterr().err
+
+    def test_augment_values_are_specs(self, dataset_dir, tmp_path):
+        out = tmp_path / "aug"
+        code = main([
+            "sweep", "--data", str(dataset_dir), "--out", str(out),
+            "--seeds", "0", "--epochs", "1",
+            "--param", "augment", "--values", '{"kind":"jitter"}',
+        ])
+        assert code == 0
+        rows = json.loads((out / "sweep_augment.json").read_text())
+        assert [r["value"] for r in rows] == [{"kind": "jitter"}]
 
     def test_malformed_values_are_exit_2(self, dataset_dir, tmp_path):
         for values in ("a", "1,", ""):

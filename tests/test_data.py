@@ -1,5 +1,6 @@
 """Container format, CSV import, and synthetic generator tests."""
 
+import json
 import struct
 
 import numpy as np
@@ -13,6 +14,7 @@ from tsadapt.data import (
     generate_shifted_pair,
     load_csv_split,
     load_dataset,
+    load_meta,
     load_split,
     make_stream,
     save_dataset,
@@ -45,6 +47,16 @@ class TestDatasetMeta:
     def test_profile_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             DatasetMeta("ucihar", 8, 6, 128)
+
+    @pytest.mark.parametrize("meta, key", [
+        ({"channels": 2, "classes": 3, "length": 64, "n_trian": 8}, "n_trian"),
+        ({"channels": 2.0, "classes": 3, "length": 64}, "channels"),
+        ({"channels": 2, "length": 64}, "classes"),
+    ], ids=["unknown-key", "float-channels", "missing-classes"])
+    def test_meta_json_is_read_strictly(self, tmp_path, meta, key):
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match=key):
+            load_meta(tmp_path)
 
 
 class TestContainer:
@@ -105,8 +117,9 @@ class TestContainer:
     def test_dataset_directory_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         train, test = small_batch(rng, 12), small_batch(rng, 8)
-        meta = DatasetMeta("custom", 2, 3, 16)
+        meta = DatasetMeta("custom", 2, 3, 16, n_train=12, n_test=8)
         save_dataset(tmp_path / "ds", train, test, meta)
+        assert load_meta(tmp_path / "ds") == meta
         loaded_train, loaded_test = load_dataset(tmp_path / "ds", meta)
         np.testing.assert_array_equal(loaded_train.values, train.values)
         np.testing.assert_array_equal(loaded_test.labels, test.labels)

@@ -2,17 +2,21 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tsadapt.experiment as experiment
 from tsadapt.accup import AccupConfig
-from tsadapt.data import ShiftSpec
+from tsadapt.augment import AugmentSpec
+from tsadapt.data import DatasetMeta, ShiftSpec
 from tsadapt.errors import ConfigurationError
 from tsadapt.experiment import (
     ABLATION_PRESETS,
     HYPERPARAM_PRESETS,
+    DirectoryData,
     ExperimentConfig,
     SyntheticData,
     apply_preset,
@@ -20,6 +24,8 @@ from tsadapt.experiment import (
     run_experiment,
     run_sweep,
 )
+
+from conftest import WRONG_TYPED_CONFIG_IDS, WRONG_TYPED_CONFIG_VALUES, set_dotted
 
 
 def tiny_experiment(tmp_path, **overrides):
@@ -86,6 +92,55 @@ class TestConfig:
         for k in (2.5, 10.0, "10"):
             with pytest.raises(ConfigurationError):
                 AccupConfig(k_support=k)
+
+    @pytest.mark.parametrize("key, value", WRONG_TYPED_CONFIG_VALUES, ids=WRONG_TYPED_CONFIG_IDS)
+    def test_wrong_typed_value_is_named(self, tmp_path, key, value):
+        d = set_dotted(json.loads(json.dumps(tiny_experiment(tmp_path).to_dict())), key, value)
+        with pytest.raises(ConfigurationError, match=re.escape(key) + r"[:\[]"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("variant", [
+        "default", *(f"preset-{p}" for p in HYPERPARAM_PRESETS),
+        *(f"ablation-{p}" for p in ABLATION_PRESETS), "compose-augment", "directory",
+    ])
+    def test_round_trip_gives_an_equal_config(self, tmp_path, variant):
+        config = ExperimentConfig()
+        if variant.startswith(("preset-", "ablation-")):
+            config = replace(config, accup=apply_preset(config.accup, variant.split("-", 1)[1]))
+        elif variant == "compose-augment":
+            parts = (AugmentSpec(kind="jitter", sigma=0.3), AugmentSpec(kind="scale"))
+            augment = AugmentSpec(kind="compose", parts=parts)
+            config = replace(config, accup=AccupConfig(augment=augment))
+        elif variant == "directory":
+            meta = DatasetMeta("custom", 2, 3, 64, n_train=64, n_test=96)
+            config = replace(config, data=DirectoryData(path=str(tmp_path), meta=meta))
+        restored = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+        assert restored == config
+        assert config_hash(restored) == config_hash(config)
+
+    def test_config_in_the_earlier_format_still_loads(self, tmp_path):
+        # written before augment.parts was always present and before the
+        # directory meta carried n_train / n_test
+        d = {
+            "scenario": "old", "strategy": "accup",
+            "data": {"kind": "directory", "path": str(tmp_path),
+                     "meta": {"name": "custom", "channels": 2, "classes": 3, "length": 64}},
+            "accup": {"k_support": 10, "eta": 20.0, "tau": 0.7, "ensemble_weight": 0.5,
+                      "augment": {"kind": "magnitude-warp", "sigma": 0.2, "knots": 4,
+                                  "segments": 5},
+                      "use_prototypes": True, "use_entropy_comparison": True,
+                      "use_augmentation": True, "use_contrast": False, "lr": 0.0003,
+                      "bn_policy": "batch"},
+            "baseline_lr": 0.001, "layer_mask": {"conv1": True, "conv2": False, "conv3": True},
+            "batch_size": 16, "seeds": [0, 1], "encoder": {"filters": [16, 24, 24]},
+            "pretrain_epochs": 40, "pretrain_batch": 32, "pretrain_lr": 0.001,
+            "model_path": None, "output_dir": "runs",
+        }
+        config = ExperimentConfig.from_dict(d)
+        assert config.data == DirectoryData(str(tmp_path), DatasetMeta("custom", 2, 3, 64))
+        assert config.accup == AccupConfig(use_contrast=False)
+        assert config.layer_mask.blocks() == (True, False, True)
+        assert (config.scenario, config.batch_size, config.seeds) == ("old", 16, (0, 1))
 
 
 class TestPresets:
@@ -218,3 +273,15 @@ class TestSweep:
     def test_unknown_parameter(self, tmp_path):
         with pytest.raises(ConfigurationError):
             run_sweep(tiny_experiment(tmp_path), "verve", [1])
+
+    def test_bad_value_fails_before_any_entry_runs(self, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a sweep entry or pool started")
+
+        monkeypatch.setattr(experiment, "run_experiment", must_not_run)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", must_not_run)
+        config = tiny_experiment(tmp_path)
+        for param, values in (("eta", [20.0, "x"]), ("augment", [{"kind": "jitter"}, 3]),
+                              ("use_contrast", [True, "false"]), ("k_support", [5, 2.5])):
+            with pytest.raises(ConfigurationError, match=param):
+                run_sweep(config, param, values, workers=2)
