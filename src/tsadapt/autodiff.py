@@ -7,6 +7,11 @@ Conventions:
   * the tape records primitive applications in execution order and is
     consumed (and cleared) by backward(); a fresh graph is built on every
     forward pass, never reused across batches
+  * gradients are lazy: a leaf built with requires_grad=True owns a
+    zero-filled buffer that backward adds into, but an op output holds a
+    gradient only while backward passes through it, and backward pops the
+    tape node by node, so each node's closure and activations are released
+    as soon as its backward has run
 
 The encoder-block ops (conv1d, batch_norm1d, relu, max_pool1d) return
 C-contiguous (B, C, L) outputs, and their backward functions return
@@ -42,7 +47,12 @@ from .errors import (
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient accumulator."""
+    """A dense float64 array plus an optional gradient accumulator.
+
+    A leaf made with requires_grad=True keeps a zero-filled `grad` buffer for
+    its whole life (the optimizer reads it). An op output starts with
+    `grad = None` and holds a gradient only while backward passes through it.
+    """
 
     __slots__ = ("data", "requires_grad", "grad")
 
@@ -161,24 +171,39 @@ def _emit(op: str, inputs: tuple, out_data: np.ndarray, bwd) -> Tensor:
     out.data = out_data
     track = _grad_enabled and any(t.requires_grad for t in inputs)
     out.requires_grad = track
-    out.grad = np.zeros_like(out_data) if track else None
+    out.grad = None  # filled by backward, and only while it needs it
     if track:
         _graph.nodes.append((op, inputs, out, bwd))
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf; clear the tape."""
+    """Accumulate d(loss)/d(leaf) into every requires_grad leaf; clear the tape.
+
+    Nodes are popped off the tape one at a time, and each output's gradient
+    is taken and cleared before its node runs; a node whose output received
+    no gradient is skipped.
+    """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractError("backward expects a scalar tensor")
     if not loss.requires_grad:
         raise ContractError("loss is not connected to the active graph")
-    loss.grad[...] = 1.0
+    loss.grad = np.ones_like(loss.data)
+    nodes = _graph.nodes
     try:
-        for op, inputs, out, bwd in reversed(_graph.nodes):
-            grads = bwd(out.grad)
-            for t, g in zip(inputs, grads):
-                if g is not None and t.requires_grad:
+        while nodes:
+            _, inputs, out, bwd = nodes.pop()
+            g_out, out.grad = out.grad, None
+            if g_out is None:
+                continue
+            for t, g in zip(inputs, bwd(g_out)):
+                if g is None or not t.requires_grad:
+                    continue
+                if t.grad is None:
+                    # a copy: one backward may hand the same array (add) or
+                    # views of g_out (concat) to several inputs
+                    t.grad = np.array(g, dtype=np.float64)
+                else:
                     t.grad += g
     finally:
         _graph.clear()

@@ -41,6 +41,8 @@ class EncoderConfig(Record):
         for name in ("filters", "kernel_sizes", "strides", "pool_widths"):
             if len(getattr(self, name)) != 3:
                 raise ContractError(f"{name} must list exactly three blocks")
+            if min(getattr(self, name)) < 1:
+                raise ContractError(f"{name} must all be positive")
 
     @property
     def feature_dim(self) -> int:

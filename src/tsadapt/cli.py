@@ -113,6 +113,18 @@ def _parse_list(flag: str, text: str, parse) -> list:
         raise ConfigurationError(f"{flag} {text!r}: {err}") from None
 
 
+def _parse_json_items(flag: str, text: str) -> list:
+    """Parse a flag value as the items of one JSON array, so that objects and
+    lists keep their own commas."""
+    try:
+        items = json.loads(f"[{text}]")
+    except ValueError as err:
+        raise ConfigurationError(f"{flag} {text!r}: {err}") from None
+    if not items:
+        raise ConfigurationError(f"{flag} is empty")
+    return items
+
+
 def _experiment_from_args(args) -> ExperimentConfig:
     if args.config:
         config = ExperimentConfig.from_json_file(args.config)
@@ -153,7 +165,7 @@ def cmd_adapt(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _experiment_from_args(args)
-    values = _parse_list("--values", args.values, json.loads)
+    values = _parse_json_items("--values", args.values)
     rows = run_sweep(config, args.param, values, workers=args.workers)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -234,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_accup_flags(p)
         if extra:
             p.add_argument("--param", required=True, help="AccupConfig field to sweep")
-            p.add_argument("--values", required=True, help="comma-separated values")
+            p.add_argument("--values", required=True, help="comma-separated JSON values")
             p.add_argument("--workers", type=int, default=1)
         p.set_defaults(fn=fn)
 

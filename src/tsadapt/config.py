@@ -40,9 +40,10 @@ class Record:
         return d
 
     @classmethod
-    def from_dict(cls, d):
-        """Build an instance from its JSON form, checking every value."""
-        return _decode_record(cls, d, "")
+    def from_dict(cls, d, path: str = ""):
+        """Build an instance from its JSON form, checking every value; `path`
+        is the dotted key the object sits under, for error messages."""
+        return _decode_record(cls, d, path)
 
 
 def _join(path: str, key) -> str:

@@ -101,7 +101,8 @@ class ExperimentConfig(Record):
     layer_mask: LayerMask = field(default_factory=LayerMask)
     batch_size: int = 32
     seeds: tuple[int, ...] = (0, 1, 2)
-    # EncoderConfig overrides; the compact default keeps desk-scale runs fast
+    # EncoderConfig overrides, checked at load but kept as given (the config
+    # hash reads them); the compact default keeps desk-scale runs fast
     encoder: dict = field(default_factory=lambda: {"filters": [16, 24, 24]})
     pretrain_epochs: int = 40
     pretrain_batch: int = 32
@@ -120,6 +121,10 @@ class ExperimentConfig(Record):
             raise ConfigurationError(f"model snapshot {self.model_path!r} is not a file")
         if isinstance(self.data, DirectoryData) and not Path(self.data.path).exists():
             raise ConfigurationError(f"dataset directory {self.data.path!r} does not exist")
+        if "in_channels" in self.encoder:
+            raise ConfigurationError("encoder.in_channels: set by the data, not the config")
+        # the data fix in_channels; 1 stands in for it here
+        EncoderConfig.from_dict({"in_channels": 1, **self.encoder}, "encoder")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":

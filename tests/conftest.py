@@ -54,7 +54,8 @@ def tiny_model(n_classes=3, in_channels=2, seed=0):
 
 
 # (dotted key, value) pairs the experiment config reader must reject, naming
-# the key: strings for bools, floats for ints, non-lists for lists
+# the key: strings for bools, floats for ints, non-lists for lists, and the
+# encoder's in_channels, which the data fix
 WRONG_TYPED_CONFIG_VALUES = [
     ("accup.use_contrast", "false"),
     ("layer_mask.conv1", "false"),
@@ -67,6 +68,11 @@ WRONG_TYPED_CONFIG_VALUES = [
     ("accup", [1]),
     ("data.kind", "tape"),
     ("data.kind", ["synthetic"]),
+    ("encoder.filters", [4.5, 6, 6]),
+    ("encoder.kernel_sizes", 5),
+    ("encoder.strides", [1, True, 1]),
+    ("encoder", [16, 24, 24]),
+    ("encoder.in_channels", 2),
 ]
 WRONG_TYPED_CONFIG_IDS = [f"{key}={json.dumps(value)}"
                           for key, value in WRONG_TYPED_CONFIG_VALUES]

@@ -31,6 +31,11 @@ class TestEncoderConfig:
         with pytest.raises(ContractError):
             EncoderConfig(in_channels=1, filters=(32, 32))
 
+    @pytest.mark.parametrize("name", ["filters", "kernel_sizes", "strides", "pool_widths"])
+    def test_block_sizes_must_be_positive(self, name):
+        with pytest.raises(ContractError, match=name):
+            EncoderConfig(in_channels=1, **{name: (2, 0, 2)})
+
 
 class TestEncode:
     def test_default_feature_dim_is_128(self):

@@ -265,6 +265,21 @@ class TestSweep:
         rows = json.loads((out / "sweep_augment.json").read_text())
         assert [r["value"] for r in rows] == [{"kind": "jitter"}]
 
+    @pytest.mark.parametrize("values", [
+        '{"kind":"jitter","sigma":0.1}',
+        '{"kind":"compose","parts":[{"kind":"scale"},{"kind":"jitter","sigma":0.05}]}',
+    ], ids=["two-keys", "compose"])
+    def test_augment_objects_keep_their_commas(self, dataset_dir, tmp_path, values):
+        out = tmp_path / "obj"
+        code = main([
+            "sweep", "--data", str(dataset_dir), "--out", str(out),
+            "--seeds", "0", "--epochs", "1",
+            "--param", "augment", "--values", values + ',{"kind":"none"}',
+        ])
+        assert code == 0
+        rows = json.loads((out / "sweep_augment.json").read_text())
+        assert [r["value"] for r in rows] == [json.loads(values), {"kind": "none"}]
+
     def test_malformed_values_are_exit_2(self, dataset_dir, tmp_path):
         for values in ("a", "1,", ""):
             code = main([

@@ -79,7 +79,8 @@ class TestConfig:
         for path, key in (((), "seedz"), (("accup",), "ensemble_mod"),
                           (("accup",), "ensemble_mode"), (("accup",), "anchor_mode"),
                           (("accup", "augment"), "interp"), (("layer_mask",), "conv_1"),
-                          (("data",), "seed"), (("data", "source"), "amplitud")):
+                          (("data",), "seed"), (("data", "source"), "amplitud"),
+                          (("encoder",), "bogus")):
             d = tiny_experiment(tmp_path).to_dict()
             node = d
             for name in path:
