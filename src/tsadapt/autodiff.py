@@ -12,6 +12,10 @@ Conventions:
     gradient only while backward passes through it, and backward pops the
     tape node by node, so each node's closure and activations are released
     as soon as its backward has run
+  * a backward function bwd(g) returns one input gradient per input: a
+    fresh array, a view of g, or None. It never mutates g, because backward
+    adopts the first gradient an op output receives without copying it, so
+    one array may be the gradient of several tensors at once
 
 The encoder-block ops (conv1d, batch_norm1d, relu, max_pool1d) return
 C-contiguous (B, C, L) outputs, and their backward functions return
@@ -51,7 +55,9 @@ class Tensor:
 
     A leaf made with requires_grad=True keeps a zero-filled `grad` buffer for
     its whole life (the optimizer reads it). An op output starts with
-    `grad = None` and holds a gradient only while backward passes through it.
+    `grad = None` and holds a gradient only while backward passes through it;
+    that gradient may share memory with another tensor's, so nothing may
+    write into it.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -182,7 +188,11 @@ def backward(loss: Tensor) -> None:
 
     Nodes are popped off the tape one at a time, and each output's gradient
     is taken and cleared before its node runs; a node whose output received
-    no gradient is skipped.
+    no gradient is skipped. The first gradient an op output receives is
+    stored as the backward function returned it, with no copy: it may be
+    the array handed to another input as well (add) or a view of the
+    consumer's g (concat), so a later contribution is added out of place.
+    A leaf's own buffer is added into in place.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractError("backward expects a scalar tensor")
@@ -190,23 +200,32 @@ def backward(loss: Tensor) -> None:
         raise ContractError("loss is not connected to the active graph")
     loss.grad = np.ones_like(loss.data)
     nodes = _graph.nodes
+    adopted = set()  # tensors whose grad is an array some backward returned
     try:
         while nodes:
             _, inputs, out, bwd = nodes.pop()
             g_out, out.grad = out.grad, None
+            adopted.discard(out)
             if g_out is None:
                 continue
             for t, g in zip(inputs, bwd(g_out)):
                 if g is None or not t.requires_grad:
                     continue
                 if t.grad is None:
-                    # a copy: one backward may hand the same array (add) or
-                    # views of g_out (concat) to several inputs
-                    t.grad = np.array(g, dtype=np.float64)
+                    t.grad = g
+                    adopted.add(t)
+                elif t in adopted:
+                    t.grad = t.grad + g  # a fresh array, owned from here on
+                    adopted.discard(t)
                 else:
                     t.grad += g
     finally:
         _graph.clear()
+        # a leaf that had no buffer keeps a private copy: the next backward
+        # adds into it in place
+        for t in adopted:
+            if t.grad is not None:
+                t.grad = np.array(t.grad, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -582,18 +601,22 @@ def max_pool1d(x: Tensor, width: int) -> Tensor:
     lout = length // width
     view = x.data[:, :, : lout * width].reshape(bsz, ch, lout, width)
     # width - 1 compares over the window view; strict > keeps the first
-    # maximum, as argmax would
+    # maximum, as argmax would, and since j exceeds every index recorded so
+    # far, max(arg, win * j) records j exactly where window slot j wins
     out = view[..., 0].copy()
     arg = np.zeros(out.shape, dtype=np.min_scalar_type(width - 1))
     for j in range(1, width):
-        np.copyto(arg, j, where=view[..., j] > out)
+        np.maximum(arg, (view[..., j] > out) * arg.dtype.type(j), out=arg)
         np.maximum(out, view[..., j], out=out)
 
     def bwd(g):
-        dx = np.zeros((bsz, ch, length))
+        # each window slot is written once; only the dropped remainder is
+        # zero-filled
+        dx = np.empty((bsz, ch, length))
         dview = dx[:, :, : lout * width].reshape(bsz, ch, lout, width)
         for j in range(width):
-            np.copyto(dview[..., j], g, where=arg == j)
+            np.multiply(g, arg == j, out=dview[..., j])
+        dx[:, :, lout * width:] = 0.0
         return (dx,)
 
     return _emit("max_pool1d", (x,), out, bwd)

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BNState, Tensor
 from .config import Record
-from .errors import ConformanceError, ContractError, LabelRangeError
+from .errors import ConfigurationError, ConformanceError, ContractError, LabelRangeError
 
 BN_MODES = ("train-stats", "running-stats")
 
@@ -66,6 +66,8 @@ class Model:
     def __init__(self, config: EncoderConfig, n_classes: int, seed: int = 0):
         if n_classes < 2:
             raise ContractError("need at least two classes")
+        if seed < 0:
+            raise ConfigurationError(f"model seed must be non-negative, got {seed}")
         self.config = config
         self.n_classes = n_classes
         rng = np.random.default_rng(seed)
@@ -196,6 +198,12 @@ def pretrain_source(
     """
     from .optim import Adam
 
+    if epochs < 0:
+        raise ConfigurationError(f"pretraining epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ConfigurationError(f"pretraining batch size must be >= 1, got {batch_size}")
+    if seed < 0:
+        raise ConfigurationError(f"pretraining seed must be non-negative, got {seed}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 3 or len(x) != len(y):

@@ -115,6 +115,15 @@ class ExperimentConfig(Record):
             raise ConfigurationError(f"unknown strategy {self.strategy!r}")
         if not self.seeds:
             raise ConfigurationError("seeds list must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be non-negative, got {list(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            # a repeated seed would overwrite its own snapshot and run record
+            raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
+        if self.pretrain_epochs < 0:
+            raise ConfigurationError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
+        if self.pretrain_batch < 1:
+            raise ConfigurationError(f"pretrain_batch must be >= 1, got {self.pretrain_batch}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch size must be >= 1, got {self.batch_size}")
         if self.model_path is not None and not Path(self.model_path).is_file():

@@ -77,6 +77,18 @@ WRONG_TYPED_CONFIG_VALUES = [
 WRONG_TYPED_CONFIG_IDS = [f"{key}={json.dumps(value)}"
                           for key, value in WRONG_TYPED_CONFIG_VALUES]
 
+# well-typed (key, value) pairs out of range, which must fail at load naming
+# the key: a zero pretraining batch or a negative seed used to die late with
+# a bare ValueError, and a repeated seed overwrote its own snapshot
+OUT_OF_RANGE_CONFIG_VALUES = [
+    ("pretrain_batch", 0),
+    ("pretrain_epochs", -1),
+    ("seeds", [-1]),
+    ("seeds", [0, 0]),
+]
+OUT_OF_RANGE_CONFIG_IDS = [f"{key}={json.dumps(value)}"
+                           for key, value in OUT_OF_RANGE_CONFIG_VALUES]
+
 
 def set_dotted(d: dict, key: str, value) -> dict:
     """Set d[a][b][c] = value for key "a.b.c"; returns d."""

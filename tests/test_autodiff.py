@@ -1,5 +1,7 @@
 """Engine tests: primitive semantics, gradients, the tape, and snapshots."""
 
+import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -284,6 +286,35 @@ class TestMaxPool:
             want[n, c, t * width + first[n, c, t]] = g[n, c, t]
         np.testing.assert_array_equal(x.grad, want)
 
+    def test_wide_window_matches_max_and_routes_to_first_maximum(self):
+        # width 300 needs 16-bit window indices; length 617 leaves a remainder
+        # of 17, and values in 0..39 tie at every window's maximum
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.integers(0, 40, size=(2, 3, 617)).astype(np.float64),
+                   requires_grad=True)
+        out = ad.max_pool1d(x, 300)
+        view = x.data[:, :, :600].reshape(2, 3, 2, 300)
+        np.testing.assert_array_equal(out.data, view.max(axis=-1))
+        assert (view == view.max(axis=-1, keepdims=True)).sum(axis=-1).min() > 1
+        g = rng.normal(size=out.shape)
+        ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+        want = np.zeros((2, 3, 617))
+        first = view.argmax(axis=-1)
+        for n, c, t in np.ndindex(out.shape):
+            want[n, c, t * 300 + first[n, c, t]] = g[n, c, t]
+        np.testing.assert_array_equal(x.grad, want)
+
+    def test_remainder_columns_get_zero_gradient(self):
+        x = Tensor(np.random.default_rng(10).normal(size=(1, 2, 11)), requires_grad=True)
+        out = ad.max_pool1d(x, 3)
+        bwd = ad.active_graph().nodes[-1][3]
+        ad.active_graph().clear()
+        for _ in range(3):
+            junk = np.full(x.shape, np.nan)  # a freed block the gradient may reuse
+            del junk
+            dx = bwd(np.ones(out.shape))[0]
+            np.testing.assert_array_equal(dx[:, :, 9:], 0.0)
+
 
 class TestBlockOpLayout:
     """Block ops return C-contiguous (B, C, L) outputs and input gradients."""
@@ -371,6 +402,45 @@ class TestGradientOwnership:
         np.testing.assert_array_equal(a.grad, 2.0 * (w1.data + w2.data))
         np.testing.assert_array_equal(b.grad, 3.0 * w1.data)
 
+    def test_first_gradient_is_adopted_not_copied(self):
+        # y's node must receive the very array z's node returned for it
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        sent, seen = np.array([3.0, 4.0]), []
+
+        def receive(g):
+            seen.append(g)
+            return (g,)
+
+        y = ad._emit("receive", (x,), x.data.copy(), receive)
+        z = ad._emit("send", (y,), y.data.copy(), lambda g: (sent,))
+        ad.backward(ad.tensor_sum(z))
+        assert seen[0] is sent
+        np.testing.assert_array_equal(x.grad, sent)
+
+    def test_concat_views_stay_apart_after_a_later_contribution(self):
+        # concat hands p and q views of the one array that add also hands to
+        # r; p then gets its w2 term, which must reach neither q nor r
+        rng = np.random.default_rng(15)
+        a, b, e = (Tensor(rng.normal(size=(n, 4)), requires_grad=True) for n in (2, 3, 5))
+        w1, w2 = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(2, 4)))
+        p, q, r = ad.scalar_mul(a, 2.0), ad.scalar_mul(b, 3.0), ad.scalar_mul(e, 5.0)
+        s2 = ad.tensor_sum(ad.mul(w2, p))
+        s1 = ad.tensor_sum(ad.mul(w1, ad.add(ad.concat([p, q]), r)))
+        ad.backward(ad.add(s2, s1))
+        np.testing.assert_array_equal(a.grad, 2.0 * (w1.data[:2] + w2.data))
+        np.testing.assert_array_equal(b.grad, 3.0 * w1.data[2:])
+        np.testing.assert_array_equal(e.grad, 5.0 * w1.data)
+
+    def test_leaf_without_a_buffer_keeps_a_private_gradient(self):
+        # add hands a and b one array; the next backward adds into each leaf's
+        # gradient in place, so they must not be left sharing it
+        a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+        a.requires_grad = b.requires_grad = True
+        ad.backward(ad.tensor_sum(ad.add(a, b)))
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
     def test_backward_releases_op_gradients_and_tape(self):
         model = tiny_model()
         x = np.random.default_rng(13).normal(size=(4, 2, 16))
@@ -412,6 +482,48 @@ class TestGradientOwnership:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * out_bytes, f"peak {peak} B against {out_bytes} B of op outputs"
+
+
+class TestBackwardContract:
+    """No backward function writes into the g it is handed: backward adopts
+    first gradients without copying, so one array may be the gradient of
+    several tensors at once."""
+
+    def test_no_primitive_mutates_its_g(self):
+        rng = np.random.default_rng(16)
+
+        def leaf(*shape):
+            return Tensor(rng.normal(size=shape), requires_grad=True)
+
+        m, n, row = leaf(3, 4), leaf(3, 4), leaf(4)
+        positive = Tensor(rng.uniform(1.0, 2.0, size=(3, 4)), requires_grad=True)
+        x, w, bias = leaf(2, 3, 11), leaf(4, 3, 3), leaf(4)
+        gamma, beta = leaf(3), leaf(3)
+        cases = [
+            lambda: ad.add(m, n), lambda: ad.add(m, row), lambda: ad.sub(m, row),
+            lambda: ad.mul(m, n), lambda: ad.scalar_mul(m, 2.5),
+            lambda: ad.matmul(m, leaf(4, 2)), lambda: ad.linear(m, leaf(5, 4), leaf(5)),
+            lambda: ad.relu(m), lambda: ad.exp(m), lambda: ad.log(positive),
+            lambda: ad.mean(m), lambda: ad.mean(m, axis=1),
+            lambda: ad.tensor_sum(m), lambda: ad.tensor_sum(m, axis=0),
+            lambda: ad.softmax(m), lambda: ad.cosine_pairs(m, leaf(2, 4)),
+            lambda: ad.concat([m, n]), lambda: ad.concat([m, n], axis=1),
+            lambda: ad.conv1d(x, w, bias, 2, 1), lambda: ad.conv1d(Tensor(x.data), w, bias),
+            lambda: ad.batch_norm1d(x, gamma, beta, BNState(3), "train-stats"),
+            lambda: ad.batch_norm1d(x, gamma, beta, BNState(3), "running-stats"),
+            lambda: ad.max_pool1d(x, 2), lambda: ad.max_pool1d(x, 3),
+        ]
+        seen = set()
+        for case in cases:
+            out = case()
+            op, _, _, bwd = ad.active_graph().nodes[-1]
+            ad.active_graph().clear()
+            g = np.asarray(rng.normal(size=out.shape))
+            before = g.tobytes()
+            bwd(g)
+            assert g.tobytes() == before, f"{op} backward wrote into its g"
+            seen.add(op)
+        assert seen == set(re.findall(r'_emit\("([^"]+)"', inspect.getsource(ad)))
 
 
 class TestFiniteDifferences:

@@ -16,7 +16,7 @@ from tsadapt.backbone import (
     save_model,
 )
 from tsadapt.data import ShiftSpec, generate_shifted_pair
-from tsadapt.errors import ConformanceError, ContractError, LabelRangeError
+from tsadapt.errors import ConfigurationError, ConformanceError, ContractError, LabelRangeError
 
 from conftest import finite_difference_max_rel_error, tiny_model
 
@@ -132,6 +132,17 @@ class TestPretrain:
         model = tiny_model()
         with pytest.raises(ContractError):
             pretrain_source(model, np.zeros((0, 2, 16)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"epochs": -3}, {"seed": -1}],
+                             ids=["batch_size", "epochs", "seed"])
+    def test_bad_arguments_rejected(self, kw):
+        model = tiny_model()
+        with pytest.raises(ConfigurationError):
+            pretrain_source(model, np.zeros((4, 2, 16)), np.array([0, 1, 2, 0]), **kw)
+
+    def test_negative_model_seed_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Model(EncoderConfig(in_channels=2), 3, seed=-1)
 
     def test_label_out_of_range_rejected(self):
         model = tiny_model(n_classes=3)

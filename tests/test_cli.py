@@ -9,7 +9,13 @@ import pytest
 from tsadapt.cli import main
 from tsadapt.experiment import ExperimentConfig
 
-from conftest import WRONG_TYPED_CONFIG_IDS, WRONG_TYPED_CONFIG_VALUES, set_dotted
+from conftest import (
+    OUT_OF_RANGE_CONFIG_IDS,
+    OUT_OF_RANGE_CONFIG_VALUES,
+    WRONG_TYPED_CONFIG_IDS,
+    WRONG_TYPED_CONFIG_VALUES,
+    set_dotted,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +72,17 @@ class TestPretrain:
         sidecar = json.loads((tmp_path / "model.ttaw.json").read_text())
         assert sidecar["encoder"]["filters"] == list(ExperimentConfig().encoder["filters"])
         assert sidecar["encoder"]["filters"] == [16, 24, 24]
+
+    @pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--epochs", "-3"),
+                                             ("--seed", "-1")])
+    def test_bad_pretraining_argument_is_exit_2(self, dataset_dir, tmp_path, flag, value):
+        # --epochs -3 used to save an untrained snapshot; the others raised
+        # a bare ValueError. A repeated --epochs takes its last value.
+        out = tmp_path / "model.ttaw"
+        code = main(["pretrain", "--data", str(dataset_dir), "--out", str(out),
+                     "--epochs", "1", flag, value])
+        assert code == 2
+        assert not out.exists()
 
     def test_missing_data_dir_is_exit_3(self, tmp_path):
         code = main([
@@ -198,6 +215,15 @@ class TestAdapt:
         path.write_text(json.dumps({"accup": {"ensemble_mode": "fixed"}}))
         assert main(["adapt", "--config", str(path)]) == 2
         assert "ensemble_mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE_CONFIG_VALUES,
+                             ids=OUT_OF_RANGE_CONFIG_IDS)
+    def test_out_of_range_config_file_is_exit_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps({key: value, "output_dir": str(tmp_path / "runs")}))
+        assert main(["adapt", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("key, value", WRONG_TYPED_CONFIG_VALUES + [("", None)],
                              ids=WRONG_TYPED_CONFIG_IDS + ["malformed-json"])

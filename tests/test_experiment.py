@@ -25,7 +25,13 @@ from tsadapt.experiment import (
     run_sweep,
 )
 
-from conftest import WRONG_TYPED_CONFIG_IDS, WRONG_TYPED_CONFIG_VALUES, set_dotted
+from conftest import (
+    OUT_OF_RANGE_CONFIG_IDS,
+    OUT_OF_RANGE_CONFIG_VALUES,
+    WRONG_TYPED_CONFIG_IDS,
+    WRONG_TYPED_CONFIG_VALUES,
+    set_dotted,
+)
 
 
 def tiny_experiment(tmp_path, **overrides):
@@ -72,6 +78,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             tiny_experiment(tmp_path, model_path=str(tmp_path / "missing.ttaw"))
 
+
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE_CONFIG_VALUES,
+                             ids=OUT_OF_RANGE_CONFIG_IDS)
+    def test_out_of_range_pretraining_field_is_named(self, tmp_path, key, value):
+        d = tiny_experiment(tmp_path).to_dict()
+        d[key] = value
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentConfig.from_dict(d)
+
+    def test_zero_pretraining_epochs_are_allowed(self, tmp_path):
+        assert tiny_experiment(tmp_path, pretrain_epochs=0).pretrain_epochs == 0
 
     def test_unknown_keys_are_named(self, tmp_path):
         # ensemble_mode, anchor_mode and interp are keys that configs written
