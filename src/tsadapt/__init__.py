@@ -26,7 +26,7 @@ from .adapt import AdaptState, LayerMask, RunRecord, adapt_batch, run_stream
 from .augment import AugmentSpec, apply_augment
 from .autodiff import Tensor, backward, no_grad
 from .backbone import EncoderConfig, Model, classify, encode, pretrain_source
-from .baselines import StrategyConfig, baseline_adapt_batch
+from .baselines import StrategyConfig
 from .data import (
     DatasetMeta,
     ShiftSpec,
@@ -43,8 +43,7 @@ __all__ = [
     "AccupConfig", "AdaptState", "AugmentSpec", "DatasetMeta", "EncoderConfig",
     "LayerMask", "MacroF1Report", "Model", "PrototypeSet", "RunRecord",
     "ShiftSpec", "StrategyConfig", "SupportSet", "Tensor", "TimeSeriesBatch",
-    "adapt_batch", "apply_augment", "backward",
-    "baseline_adapt_batch", "classify", "compute_prototypes",
+    "adapt_batch", "apply_augment", "backward", "classify", "compute_prototypes",
     "contrastive_loss", "encode", "ensemble", "entropy_compare",
     "generate_shifted_pair", "load_dataset", "macro_f1", "make_stream",
     "no_grad", "pretrain_source", "prototype_logits", "run_stream",

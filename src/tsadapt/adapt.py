@@ -1,12 +1,11 @@
-"""Single-pass streaming loop for every strategy, and the ACCUP step.
+"""Single-pass streaming loop, and the one state and step of every strategy.
 
 Each arriving batch is seen exactly once: predict with the current model,
-then update. Under ACCUP the update refreshes the support set, rebuilds
-prototypes and takes one optimizer step on the masked encoder parameters
-against the contrastive loss, the only part of the step that is recorded
-for backward; the baselines step as `baselines` describes. Predictions are
-always the pre-update forward. Labels never reach a step function; batches
-are bare value arrays, and `run_stream` uses labels only to score the run.
+then update. `adapt_batch` asks the strategy for its predictions and loss
+(ACCUP: `accup_batch`; a baseline: `baselines.baseline_adapt_batch`) and
+takes at most one backward and one Adam step. Predictions are always the
+pre-update forward. Labels never reach a step function; batches are bare
+value arrays, and `run_stream` uses labels only to score the run.
 
 A run owns its AdaptState exclusively (the loop is inherently sequential);
 independent runs over different seeds or configs may execute in parallel.
@@ -26,7 +25,7 @@ from . import autodiff as ad
 from .accup import AccupConfig, EnsembleOutput, PrototypeSet, SupportSet
 from .augment import apply_augment
 from .backbone import Model, classify, encode
-from .baselines import BaselineState, StrategyConfig, baseline_adapt_batch
+from .baselines import StrategyConfig, baseline_adapt_batch
 from .config import Record
 from .errors import ConfigurationError, ContractError
 from .metrics import MacroF1Report, macro_f1
@@ -82,39 +81,30 @@ class RunRecord:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        return cls(
-            strategy=d["strategy"],
-            seed=int(d["seed"]),
-            config_hash=d["config_hash"],
-            batch_losses=list(d.get("batch_losses", [])),
-            batch_predictions=[list(p) for p in d.get("batch_predictions", [])],
-            macro_f1=d.get("macro_f1"),
-            wall_ms=float(d.get("wall_ms", 0.0)),
-        )
-
 
 class AdaptState:
-    """Mutable state of one adaptation run.
+    """Mutable state of one adaptation run under ACCUP or a baseline.
 
-    The classifier is never part of the trainable set; only the encoder
-    blocks selected by the layer mask are optimized.
+    ACCUP optimizes the encoder blocks the layer mask selects and keeps a
+    support set; tent and pseudo-label optimize the BN affine parameters;
+    source and bn-stats hold an Adam over no parameters. The classifier is
+    never trainable.
     """
 
-    def __init__(self, model: Model, config: AccupConfig, layer_mask: LayerMask | None = None,
-                 seed: int = 0):
+    def __init__(self, model: Model, config: AccupConfig | StrategyConfig,
+                 layer_mask: LayerMask | None = None, seed: int = 0):
         self.model = model
         self.config = config
         self.layer_mask = layer_mask or LayerMask()
         self.rng = np.random.default_rng(seed)
-        self.support = (
-            SupportSet.from_classifier(model.cls_weight.data, config.k_support)
-            if config.use_prototypes
-            else None
-        )
-        self.optimizer = Adam(model.encoder_parameters(self.layer_mask.blocks()).values(),
-                              lr=config.lr)
+        self.support = None
+        if isinstance(config, StrategyConfig):
+            params = model.bn_parameters() if config.takes_step() else {}
+        else:
+            params = model.encoder_parameters(self.layer_mask.blocks())
+            if config.use_prototypes:
+                self.support = SupportSet.from_classifier(model.cls_weight.data, config.k_support)
+        self.optimizer = Adam(params.values(), lr=config.lr)
         self.step = 0
 
 
@@ -205,22 +195,27 @@ def accup_batch(
 
 
 def adapt_batch(state: AdaptState, values: np.ndarray):
-    """Consume one unlabeled batch: predict, update memory, one Adam step.
+    """Consume one unlabeled batch under any strategy: predict, then step.
 
-    Returns (predictions, loss value, state). The predictions come from the
-    pre-update forward pass. Without the contrastive loss the step records
-    no graph and takes no backward and no Adam step; the loss is 0.0. A
-    step that raises leaves the shared tape empty, and a NumericDomainError
-    names the stream step ("step N: exp: ...").
+    The strategy gives the pre-update predictions and its loss, or None
+    (source, bn-stats, ACCUP without the contrastive loss). With a loss one
+    backward and one Adam step follow; without one the loss value is 0.0.
+    Returns (predictions, loss value, state). A step that raises leaves the
+    shared tape empty, and a NumericDomainError names the stream step
+    ("step N: exp: ...").
     """
     if not isinstance(values, np.ndarray):
         raise ContractError(
             "adapt_batch takes a bare (B, Cin, L) value array; strip labels first"
         )
     cfg = state.config
-    x_aug = apply_augment(values, cfg.augment, state.rng) if cfg.use_augmentation else None
     with ad.active_graph().guard(f"step {state.step}"):
-        outputs, loss = accup_batch(state.model, values, x_aug, cfg, support=state.support)
+        if isinstance(cfg, StrategyConfig):
+            preds, loss = baseline_adapt_batch(state, values)
+        else:
+            x_aug = apply_augment(values, cfg.augment, state.rng) if cfg.use_augmentation else None
+            outputs, loss = accup_batch(state.model, values, x_aug, cfg, support=state.support)
+            preds = outputs.pseudo_labels
         loss_value = 0.0
         if loss is not None:
             state.optimizer.zero_grad()
@@ -228,7 +223,7 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
             state.optimizer.step()
             loss_value = loss.item()
     state.step += 1
-    return outputs.pseudo_labels, loss_value, state
+    return preds, loss_value, state
 
 
 def run_stream(
@@ -241,9 +236,10 @@ def run_stream(
 ) -> RunRecord:
     """Fold one strategy's step over an ordered finite stream of batches.
 
-    An AccupConfig runs ACCUP (adapt_batch); a StrategyConfig runs that
-    baseline (baselines.baseline_adapt_batch), which ignores seed and
-    layer_mask. The input model is cloned, never mutated. Stream items may
+    One AdaptState is built for the config (an AccupConfig runs ACCUP, a
+    StrategyConfig that baseline, which ignores seed and layer_mask), and
+    every batch goes through adapt_batch. The input model is cloned, never
+    mutated. Stream items may
     be bare value arrays or objects with .values/.labels; labels, when
     present on every batch, are used only to score the collected
     predictions afterwards.
@@ -260,16 +256,12 @@ def run_stream(
             values.append(np.asarray(b.values, dtype=np.float64))
             labels.append(None if b.labels is None else np.asarray(b.labels))
 
-    if isinstance(config, StrategyConfig):
-        state, step = BaselineState(model.clone(), config), baseline_adapt_batch
-        strategy = config.kind
-    else:
-        state, step = AdaptState(model.clone(), config, layer_mask, seed), adapt_batch
-        strategy = "accup"
+    state = AdaptState(model.clone(), config, layer_mask, seed)
+    strategy = config.kind if isinstance(config, StrategyConfig) else "accup"
     record = RunRecord(strategy=strategy, seed=seed, config_hash=config_hash)
     start = time.perf_counter()
     for v in values:
-        preds, loss_value, state = step(state, v)
+        preds, loss_value, state = adapt_batch(state, v)
         record.batch_predictions.append(preds.tolist())
         record.batch_losses.append(loss_value)
     record.wall_ms = (time.perf_counter() - start) * 1e3

@@ -36,6 +36,8 @@ structure: recording and backward must stay on one thread at a time.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from contextlib import contextmanager
 
@@ -192,13 +194,16 @@ def backward(loss: Tensor) -> None:
     stored as the backward function returned it, with no copy: it may be
     the array handed to another input as well (add) or a view of the
     consumer's g (concat), so a later contribution is added out of place.
-    A leaf's own buffer is added into in place.
+    A leaf's own buffer is added into in place, the loss's own included.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractError("backward expects a scalar tensor")
     if not loss.requires_grad:
         raise ContractError("loss is not connected to the active graph")
-    loss.grad = np.ones_like(loss.data)
+    if loss.grad is None:
+        loss.grad = np.ones_like(loss.data)
+    else:
+        loss.grad += 1.0
     nodes = _graph.nodes
     adopted = set()  # tensors whose grad is an array some backward returned
     try:
@@ -648,13 +653,15 @@ def save_tensors(path, named: dict) -> None:
 
 
 def load_tensors(path) -> dict:
-    """Read a snapshot back as name -> float64 ndarray."""
+    """Read a snapshot back as name -> float64 ndarray; every declared size
+    is checked against the bytes left in the file before it is read."""
 
     def take(f, n, what):
-        buf = f.read(n)
-        if len(buf) != n:
-            raise FormatError(f"snapshot truncated while reading {what}")
-        return buf
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if n > left:
+            raise FormatError(f"snapshot truncated while reading {what}: "
+                              f"{n} bytes needed, {left} left")
+        return f.read(n)
 
     out = {}
     with open(path, "rb") as f:
@@ -668,9 +675,9 @@ def load_tensors(path) -> dict:
             name = take(f, nlen, "name").decode("utf-8")
             (rank,) = struct.unpack("<B", take(f, 1, "rank"))
             shape = struct.unpack(f"<{rank}Q", take(f, 8 * rank, "extents")) if rank else ()
-            n = int(np.prod(shape)) if rank else 1
-            vals = np.frombuffer(take(f, 8 * n, "values"), dtype="<f8")
-            if n and not np.all(np.isfinite(vals)):
+            vals = np.frombuffer(take(f, 8 * math.prod(shape), f"values of {name!r}"),
+                                 dtype="<f8")
+            if vals.size and not np.all(np.isfinite(vals)):
                 raise NumericDomainError(
                     f"snapshot tensor {name!r} contains non-finite values"
                 )

@@ -21,7 +21,7 @@ from .data import (
     load_meta,
     save_dataset,
 )
-from .errors import ConfigurationError, TsadaptError
+from .errors import ConfigurationError, FormatError, TsadaptError
 from .experiment import (
     ABLATION_PRESETS,
     HYPERPARAM_PRESETS,
@@ -180,15 +180,16 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     for path in args.summaries:
         with open(path) as f:
-            summary = json.load(f)
-        rep = summary.get("report")
-        scenario = summary["config"]["scenario"]
-        strategy = summary["config"]["strategy"]
-        if rep is None:
-            print(f"{scenario} {strategy}: unscored")
-        else:
-            print(f"{scenario} {strategy}: mean={rep['mean']:.4f} std={rep['std']:.4f} "
-                  f"seeds={rep['per_seed']}")
+            try:
+                summary = json.load(f)
+                config, rep = summary["config"], summary["report"]
+                result = ("unscored" if rep is None else
+                          f"mean={rep['mean']:.4f} std={rep['std']:.4f} seeds={rep['per_seed']}")
+                line = f"{config['scenario']} {config['strategy']}: {result}"
+            except (ValueError, LookupError, TypeError) as err:
+                raise FormatError(f"{path} is not a summary file "
+                                  f"({type(err).__name__}: {err})") from None
+        print(line)
     return 0
 
 
@@ -266,7 +267,7 @@ def main(argv=None) -> int:
     except TsadaptError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    except FileNotFoundError as err:
+    except OSError as err:  # a missing file, a directory, no permission
         print(f"error: {err}", file=sys.stderr)
         return 3
 

@@ -2,13 +2,15 @@
 
 The binary container ("TTSD") is little-endian: magic, version u32, Cin u32,
 C u32, L u32, N u64, then N records of (label i32, Cin*L f32 values,
-row-major channel-then-time). A CSV alternative (one row = label followed by
-Cin*L values) is accepted for imports.
+row-major channel-then-time), read and written as one structured numpy
+block. A CSV alternative (one row = label followed by Cin*L values) is
+accepted for imports.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,6 +86,13 @@ class DatasetMeta(Record):
         return cls(name, c, k, l, n_train, n_test)
 
 
+def _record_dtype(cin: int, length: int) -> np.dtype:
+    try:
+        return np.dtype([("label", "<i4"), ("values", "<f4", (cin, length))])
+    except ValueError:
+        raise FormatError(f"record shape ({cin}, {length}) is too large") from None
+
+
 def save_split(path, batch: TimeSeriesBatch, n_classes: int) -> None:
     """Write one labeled split in the binary container format."""
     if batch.labels is None:
@@ -91,23 +100,25 @@ def save_split(path, batch: TimeSeriesBatch, n_classes: int) -> None:
     b, cin, length = batch.values.shape
     if batch.labels.min(initial=0) < 0 or batch.labels.max(initial=0) >= n_classes:
         raise LabelRangeError(f"labels must lie in 0..{n_classes - 1}")
+    records = np.empty(b, dtype=_record_dtype(cin, length))
+    records["label"] = batch.labels
+    records["values"] = batch.values
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<IIIIQ", _VERSION, cin, n_classes, length, b))
-        vals = batch.values.astype("<f4")
-        for i in range(b):
-            f.write(struct.pack("<i", int(batch.labels[i])))
-            f.write(vals[i].tobytes())
+        f.write(records.tobytes())
 
 
 def load_split(path, meta: DatasetMeta | None = None) -> TimeSeriesBatch:
-    """Read one split; validates format, shape against meta, and label range."""
+    """Read one split; validates format, shape against meta, and label range.
+    The declared record count is checked against the file before reading."""
 
     def take(f, n, what):
-        buf = f.read(n)
-        if len(buf) != n:
-            raise FormatError(f"container truncated while reading {what}")
-        return buf
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if n > left:
+            raise FormatError(f"container truncated while reading {what}: "
+                              f"{n} bytes needed, {left} left")
+        return f.read(n)
 
     with open(path, "rb") as f:
         if take(f, 4, "magic") != _MAGIC:
@@ -122,14 +133,10 @@ def load_split(path, meta: DatasetMeta | None = None) -> TimeSeriesBatch:
                 f"container declares ({cin}, {n_classes}, {length}), metadata "
                 f"expects ({meta.channels}, {meta.classes}, {meta.length})"
             )
-        values = np.empty((n, cin, length))
-        labels = np.empty(n, dtype=np.intp)
-        row = cin * length
-        for i in range(n):
-            (labels[i],) = struct.unpack("<i", take(f, 4, f"label {i}"))
-            values[i] = np.frombuffer(
-                take(f, 4 * row, f"record {i}"), dtype="<f4"
-            ).reshape(cin, length)
+        block = take(f, n * (4 + 4 * cin * length), f"{n} records")
+        records = np.frombuffer(block, dtype=_record_dtype(cin, length))
+    values = np.ascontiguousarray(records["values"], dtype=np.float64)
+    labels = records["label"].astype(np.intp)
     if n and (labels.min() < 0 or labels.max() >= n_classes):
         raise LabelRangeError(
             f"label {labels.max()} out of range for {n_classes} classes"

@@ -4,12 +4,14 @@ The stream-discipline tests of TestRunStream run every strategy in
 experiment.STRATEGIES through the one loop.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tsadapt.accup as acc
+import tsadapt.adapt as adapt
 import tsadapt.autodiff as ad
 from tsadapt.accup import AccupConfig
 from tsadapt.adapt import (
@@ -192,6 +194,40 @@ class TestAdaptBatch:
         counts = support.class_counts()
         assert counts.shape == (pretrained.n_classes,) and counts.sum() == len(support)
 
+    def test_state_call_contract(self, pretrained):
+        # perfbench/workloads.py builds AdaptState(model, config, None, seed)
+        # positionally, for ACCUP and for every baseline
+        for config in (quiet_config(), StrategyConfig("tent")):
+            state = AdaptState(pretrained.clone(), config, None, 7)
+            assert state.config is config and state.layer_mask == LayerMask()
+            assert state.rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_stream_step_call_contract(self, strategy, pretrained, shift_data, monkeypatch):
+        # perfbench/tracer.py times every batch through the module attribute
+        # adapt.adapt_batch, and names a baseline's span from the first
+        # argument of baseline_adapt_batch: "baselines.<config.kind>.batch"
+        _, target = shift_data
+        steps, baseline_steps = [], []
+
+        def recording(calls, fn):
+            def recorder(*args, **kwargs):
+                calls.append((args, kwargs))
+                return fn(*args, **kwargs)
+            return recorder
+
+        monkeypatch.setattr(adapt, "adapt_batch", recording(steps, adapt.adapt_batch))
+        monkeypatch.setattr(adapt, "baseline_adapt_batch",
+                            recording(baseline_steps, adapt.baseline_adapt_batch))
+        run_stream(pretrained, make_stream(target, 32)[:3], stepping_config(strategy))
+        assert len(steps) == 3
+        if strategy == "accup":
+            assert baseline_steps == []
+        else:
+            assert len(baseline_steps) == 3
+            for args, kwargs in baseline_steps:
+                assert kwargs == {} and args[0].config.kind == strategy
+
 
 class TestModuleSwitchWiring:
     def test_no_prototypes_and_no_entcomp_yield_ensemble_logits(self, pretrained, shift_data):
@@ -309,9 +345,13 @@ class TestRunStream:
 class TestRunRecord:
     def test_json_round_trip(self):
         rec = RunRecord(strategy="accup", seed=3, config_hash="abc",
-                        batch_losses=[1.0, 2.0], batch_predictions=[[0, 1], [2, 0]],
-                        macro_f1=0.5, wall_ms=12.5)
-        import json
-
-        restored = RunRecord.from_dict(json.loads(rec.to_json()))
-        assert restored == rec
+                        batch_losses=[np.float64(1.0), 2.0],
+                        batch_predictions=[np.array([0, 1]), [2, 0]],
+                        macro_f1=np.float64(0.5), wall_ms=12.5)
+        expected = {
+            "strategy": "accup", "seed": 3, "config_hash": "abc",
+            "batch_losses": [1.0, 2.0], "batch_predictions": [[0, 1], [2, 0]],
+            "macro_f1": 0.5, "wall_ms": 12.5,
+        }
+        assert rec.to_dict() == expected
+        assert json.loads(rec.to_json()) == expected

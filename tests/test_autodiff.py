@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -441,6 +442,15 @@ class TestGradientOwnership:
         np.testing.assert_array_equal(a.grad, [1.0, 1.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
+    def test_leaf_loss_adds_into_its_own_buffer(self):
+        # an optimizer built over t reads the buffer t had when it was built
+        t = Tensor([2.0], requires_grad=True)
+        buf = t.grad
+        buf[...] = 3.0
+        ad.backward(t)
+        assert t.grad is buf
+        np.testing.assert_array_equal(t.grad, [4.0])
+
     def test_backward_releases_op_gradients_and_tape(self):
         model = tiny_model()
         x = np.random.default_rng(13).normal(size=(4, 2, 16))
@@ -618,6 +628,14 @@ class TestSnapshots:
         path = tmp_path / "bad.ttaw"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(FormatError):
+            ad.load_tensors(path)
+
+    def test_extent_beyond_the_file_is_a_format_error(self, tmp_path):
+        # a 2**40 extent must not reach a read of that many bytes
+        path = tmp_path / "params.ttaw"
+        path.write_bytes(b"TTAW" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                         + struct.pack("<BQ", 1, 2**40) + np.ones(10, "<f8").tobytes())
+        with pytest.raises(FormatError, match="truncated while reading values of 'w'"):
             ad.load_tensors(path)
 
     def test_truncated(self, tmp_path):

@@ -5,14 +5,9 @@ import pytest
 
 import tsadapt.autodiff as ad
 from tsadapt.accup import shannon_entropy
-from tsadapt.adapt import run_stream
+from tsadapt.adapt import AdaptState, adapt_batch, run_stream
 from tsadapt.backbone import forward
-from tsadapt.baselines import (
-    KINDS,
-    BaselineState,
-    StrategyConfig,
-    baseline_adapt_batch,
-)
+from tsadapt.baselines import KINDS, StrategyConfig
 from tsadapt.data import make_stream
 from tsadapt.errors import (
     ConfigurationError,
@@ -30,22 +25,23 @@ class TestStrategyConfig:
     def test_source_and_bn_take_no_step(self, pretrained, shift_data):
         _, target = shift_data
         for kind in ("source", "bn-stats"):
-            state = BaselineState(pretrained.clone(), StrategyConfig(kind))
-            assert state.optimizer is None
-            baseline_adapt_batch(state, target.values[:16])
+            state = AdaptState(pretrained.clone(), StrategyConfig(kind))
+            assert state.optimizer.params == []
+            adapt_batch(state, target.values[:16])
+            assert state.optimizer.t == 0
 
 
     def test_raising_step_leaves_the_tape_empty(self, pretrained):
         # one sample of length 2 leaves one value per channel at the second norm
-        state = BaselineState(pretrained.clone(), StrategyConfig("tent"))
+        state = AdaptState(pretrained.clone(), StrategyConfig("tent"))
         with pytest.raises(DegenerateBatchError):
-            baseline_adapt_batch(state, np.arange(4.0).reshape(1, 2, 2))
+            adapt_batch(state, np.arange(4.0).reshape(1, 2, 2))
         assert len(ad.active_graph()) == 0
         # values near the float64 limit overflow the first convolution
-        baseline_adapt_batch(state, np.ones((4, 2, 16)))
+        adapt_batch(state, np.ones((4, 2, 16)))
         with np.errstate(over="ignore"), pytest.raises(
                 NumericDomainError, match="^step 1: conv1d: result contains non-finite values$"):
-            baseline_adapt_batch(state, np.full((4, 2, 16), 1e308))
+            adapt_batch(state, np.full((4, 2, 16), 1e308))
         assert len(ad.active_graph()) == 0
 
 
@@ -76,12 +72,12 @@ class TestTent:
 
     def test_touches_only_bn_affine_parameters(self, pretrained, shift_data):
         _, target = shift_data
-        state = BaselineState(pretrained.clone(), StrategyConfig("tent", lr=1e-3))
+        state = AdaptState(pretrained.clone(), StrategyConfig("tent", lr=1e-3))
         conv_before = [blk.weight.data.copy() for blk in state.model.blocks]
         bias_before = [blk.bias.data.copy() for blk in state.model.blocks]
         cls_before = state.model.cls_weight.data.copy()
         gamma_before = [blk.gamma.data.copy() for blk in state.model.blocks]
-        baseline_adapt_batch(state, target.values[:32])
+        adapt_batch(state, target.values[:32])
         for blk, w, b in zip(state.model.blocks, conv_before, bias_before):
             np.testing.assert_array_equal(blk.weight.data, w)
             np.testing.assert_array_equal(blk.bias.data, b)
@@ -95,7 +91,7 @@ class TestTent:
     def test_step_reduces_entropy_on_same_batch(self, pretrained, shift_data):
         _, target = shift_data
         batch = target.values[:32]
-        state = BaselineState(pretrained.clone(), StrategyConfig("tent", lr=1e-3))
+        state = AdaptState(pretrained.clone(), StrategyConfig("tent", lr=1e-3))
 
         def mean_entropy():
             with ad.no_grad():
@@ -103,17 +99,17 @@ class TestTent:
             return shannon_entropy(logits.data).mean()
 
         before = mean_entropy()
-        baseline_adapt_batch(state, batch)
+        adapt_batch(state, batch)
         assert mean_entropy() < before
 
 
 class TestPseudoLabel:
     def test_takes_steps_on_norm_parameters(self, pretrained, shift_data):
         _, target = shift_data
-        state = BaselineState(pretrained.clone(), StrategyConfig("pseudo-label", lr=1e-3))
+        state = AdaptState(pretrained.clone(), StrategyConfig("pseudo-label", lr=1e-3))
         gamma_before = [blk.gamma.data.copy() for blk in state.model.blocks]
         conv_before = [blk.weight.data.copy() for blk in state.model.blocks]
-        baseline_adapt_batch(state, target.values[:32])
+        adapt_batch(state, target.values[:32])
         assert any(
             not np.array_equal(blk.gamma.data, g)
             for blk, g in zip(state.model.blocks, gamma_before)
@@ -143,9 +139,9 @@ class TestStreamingDiscipline:
         from tsadapt.data import TimeSeriesBatch
 
         _, target = shift_data
-        state = BaselineState(pretrained.clone(), StrategyConfig("source"))
+        state = AdaptState(pretrained.clone(), StrategyConfig("source"))
         with pytest.raises(ContractError):
-            baseline_adapt_batch(state, TimeSeriesBatch(target.values[:4], target.labels[:4]))
+            adapt_batch(state, TimeSeriesBatch(target.values[:4], target.labels[:4]))
 
 
 @pytest.mark.parametrize("kind", KINDS)

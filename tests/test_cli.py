@@ -329,6 +329,17 @@ class TestReport:
         printed = capsys.readouterr().out
         assert "mean=" in printed and "std=" in printed
 
+    @pytest.mark.parametrize("text", ['{"config": ', '{"x": 1}', '[1, 2]'],
+                             ids=["malformed-json", "no-config", "not-an-object"])
+    def test_non_summary_file_is_exit_3(self, text, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 3
+        assert f"{path} is not a summary file" in capsys.readouterr().err
+
+    def test_directory_is_exit_3(self, tmp_path):
+        assert main(["report", str(tmp_path)]) == 3
+
 
 def test_console_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "tsadapt.cli", "--help"],

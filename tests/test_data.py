@@ -77,6 +77,24 @@ class TestContainer:
         with pytest.raises(FormatError):
             load_split(path)
 
+    def test_bytes_follow_the_record_layout(self, tmp_path):
+        # header, then per record a <i4 label and <f4 values, row-major
+        batch = small_batch(np.random.default_rng(6), n=5, classes=3)
+        path = tmp_path / "split.ttsd"
+        save_split(path, batch, n_classes=3)
+        expected = b"TTSD" + struct.pack("<IIIIQ", 1, 2, 3, 16, 5) + b"".join(
+            struct.pack("<i", int(y)) + v.astype("<f4").tobytes()
+            for y, v in zip(batch.labels, batch.values))
+        assert path.read_bytes() == expected
+
+    def test_record_count_beyond_the_file_is_a_format_error(self, tmp_path):
+        # 2**40 declared records must not reach an allocation
+        path = tmp_path / "split.ttsd"
+        record = struct.pack("<i", 0) + np.zeros(32, "<f4").tobytes()
+        path.write_bytes(b"TTSD" + struct.pack("<IIIIQ", 1, 2, 3, 16, 2**40) + record)
+        with pytest.raises(FormatError, match="truncated while reading 1099511627776 records"):
+            load_split(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "split.ttsd"
         path.write_bytes(b"WAT?" + b"\x00" * 24)
