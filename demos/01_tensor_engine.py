@@ -16,10 +16,11 @@ rng = np.random.default_rng(0)
 
 # --- forward primitives ----------------------------------------------------
 x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-w = Tensor(rng.normal(size=(3, 2)))
+w = Tensor(rng.normal(size=(2, 3)))
+b = Tensor(np.zeros(2))
 
 print("softmax rows sum to", ad.softmax(x).data.sum(axis=1))
-print("matmul (4,3)@(3,2) ->", ad.matmul(x, w).shape)
+print("linear x @ w.T + b, (4,3) by (2,3) ->", ad.linear(x, w, b).shape)
 ad.active_graph().clear()
 
 # --- reverse-mode gradients --------------------------------------------------

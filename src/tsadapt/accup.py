@@ -44,9 +44,9 @@ def shannon_entropy(logits) -> np.ndarray:
 
 
 class SupportSet:
-    """Per-class store of the k lowest-entropy (feature, logits, entropy) rows.
+    """Per-class store of the k lowest-entropy (feature, entropy) rows.
 
-    Each class holds at most k rows in three arrays sorted by (entropy,
+    Each class holds at most k rows in two arrays sorted by (entropy,
     insertion order). Rows never change once inserted, so a row that falls
     out of the first k can never return: the store keeps exactly the rows
     a sort of the full history would pick. Seeded with one zero-entropy row
@@ -61,7 +61,6 @@ class SupportSet:
         self.feature_dim = feature_dim
         self.k = k
         self.features = [np.zeros((0, feature_dim)) for _ in range(n_classes)]
-        self.logits = [np.zeros((0, n_classes)) for _ in range(n_classes)]
         self.entropies = [np.zeros(0) for _ in range(n_classes)]
 
     @classmethod
@@ -82,7 +81,8 @@ def update_support(support: SupportSet, features, logits, entropies, pseudo_labe
     """Merge each row into its pseudo-label class, keeping the k lowest entropies.
 
     Retained rows precede the new ones and the sort is stable, so ties go to
-    the earlier insertion.
+    the earlier insertion. The logits only check that each pseudo-label is
+    the argmax of its row; they are not stored.
     """
     features = np.asarray(features, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
@@ -98,16 +98,14 @@ def update_support(support: SupportSet, features, logits, entropies, pseudo_labe
         keep = np.argsort(h, kind="stable")[:support.k]
         support.entropies[c] = h[keep]
         support.features[c] = np.concatenate([support.features[c], features[rows]])[keep]
-        support.logits[c] = np.concatenate([support.logits[c], logits[rows]])[keep]
     return support
 
 
 @dataclass
 class PrototypeSet:
-    """One feature centroid per class plus the retained-entry counts."""
+    """One feature centroid per class."""
 
-    mu: np.ndarray      # (C, F)
-    counts: np.ndarray  # (C,)
+    mu: np.ndarray  # (C, F)
 
 
 def compute_prototypes(support: SupportSet, k: int) -> PrototypeSet:
@@ -122,9 +120,7 @@ def compute_prototypes(support: SupportSet, k: int) -> PrototypeSet:
         raise ConfigurationError(f"support filter size must be >= 1, got {k}")
     if k > support.k:
         raise ContractError(f"filter size {k} exceeds the support set's bound {support.k}")
-    mu = np.stack([f[:k].mean(axis=0) for f in support.features])
-    counts = np.minimum(support.class_counts(), k)
-    return PrototypeSet(mu=mu, counts=counts)
+    return PrototypeSet(mu=np.stack([f[:k].mean(axis=0) for f in support.features]))
 
 
 def prototype_logits(features, protos: PrototypeSet, eta: float) -> Tensor:

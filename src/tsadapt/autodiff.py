@@ -26,9 +26,8 @@ by tap from x instead of keeping its im2col columns, batch_norm1d
 recomputes xhat from x, relu rebuilds its mask from its output, and
 max_pool1d keeps only small-integer window indices.
 
-Broadcasting in add/sub/mul is deliberately narrow: identical shapes, a
-one-element tensor against anything, or a row vector against a matrix.
-Anything else raises ConformanceError.
+add, sub and mul take operands of identical shape and do not broadcast;
+any other pair raises ConformanceError.
 
 Tensors may move between threads, but the active tape is a single shared
 structure: recording and backward must stay on one thread at a time.
@@ -90,25 +89,6 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -234,41 +214,20 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers
+# elementwise and reduction primitives
 # ---------------------------------------------------------------------------
 
 def _check_binary(op: str, a: Tensor, b: Tensor) -> None:
-    sa, sb = a.shape, b.shape
-    if sa == sb or a.size == 1 or b.size == 1:
-        return
-    # row vector against matrix
-    for row, mat in ((sa, sb), (sb, sa)):
-        if len(mat) == 2 and row in ((mat[1],), (1, mat[1])):
-            return
-    raise ConformanceError(f"{op}: shapes {sa} and {sb} do not conform")
+    if a.shape != b.shape:
+        raise ConformanceError(f"{op}: shapes {a.shape} and {b.shape} do not conform")
 
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    if len(shape) < g.ndim:
-        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# elementwise and reduction primitives
-# ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_binary("add", a, b)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return g, g
 
     return _emit("add", (a, b), a.data + b.data, bwd)
 
@@ -278,7 +237,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_binary("sub", a, b)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return g, -g
 
     return _emit("sub", (a, b), a.data - b.data, bwd)
 
@@ -289,7 +248,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     da, db = a.data, b.data
 
     def bwd(g):
-        return _unbroadcast(g * db, a.shape), _unbroadcast(g * da, b.shape)
+        return g * db, g * da
 
     return _emit("mul", (a, b), da * db, bwd)
 
@@ -302,18 +261,6 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return _emit("scalar-mul", (a,), a.data * c, bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ConformanceError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    da, db = a.data, b.data
-
-    def bwd(g):
-        return g @ db.T, da.T @ g
-
-    return _emit("matmul", (a, b), da @ db, bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

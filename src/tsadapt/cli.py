@@ -58,7 +58,7 @@ def _accup_from_args(args, base: AccupConfig | None = None) -> AccupConfig:
         v = getattr(args, name)
         if v is not None:
             overrides[name] = v
-    return replace(cfg, **overrides) if overrides else cfg
+    return AccupConfig.from_dict({**cfg.to_dict(), **overrides}) if overrides else cfg
 
 
 def _meta_from_args(args) -> DatasetMeta:

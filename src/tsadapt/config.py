@@ -5,8 +5,9 @@ driven by its dataclass fields and their type hints. Keys mirror the field
 names, and a key left out takes the field's default. Values are checked
 against the hints, strictly:
 
-- an int field takes an int (never a bool or a float), a float field an
-  int or a float, a bool field only a bool;
+- an int field takes an int (never a bool or a float), a float field a
+  finite int or float (never NaN or ±Infinity, which Python's json reads),
+  a bool field only a bool;
 - a `tuple[T, ...]` field takes a list of T;
 - a union such as `X | None` takes either form; a union of Records is
   chosen by the `"kind"` tag that each member names in its `KIND`.
@@ -18,6 +19,7 @@ each class's `__post_init__`.
 
 from __future__ import annotations
 
+import math
 import types
 import typing
 from dataclasses import MISSING, fields
@@ -100,7 +102,7 @@ def _decode(tp, value, path: str):
         if isinstance(value, Integral):
             return int(value)
     elif tp is float:
-        if isinstance(value, Real):
+        if isinstance(value, Real) and math.isfinite(value):
             return float(value)
     elif isinstance(value, tp):  # str, dict, None
         return value
@@ -133,4 +135,6 @@ def _name(tp) -> str:
         return " or ".join(_name(a) for a in args)
     if issubclass(tp, (Record, dict)):
         return "an object"
+    if tp is float:
+        return "finite float"
     return "null" if tp is type(None) else tp.__name__

@@ -228,6 +228,12 @@ class ShiftSpec(Record):
     class_probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("channels", "length"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("amplitude", "noise_std", "offset"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if len(set(self.class_freqs)) != len(self.class_freqs):
             raise ConfigurationError("class frequencies must be distinct")
         if self.class_phases is not None and len(self.class_phases) != len(self.class_freqs):
@@ -312,6 +318,9 @@ def generate_shifted_pair(
     if spec_source.class_freqs != spec_target.class_freqs:
         raise ConfigurationError("source and target must share the class definition")
     n_source, n_target = sizes
+    for name, n in (("n_source", n_source), ("n_target", n_target)):
+        if n < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     source = _synthesize(spec_source, n_source, rng)
     target = _synthesize(spec_target, n_target, rng)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -16,8 +18,8 @@ class Adam:
 
     def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params: list[Tensor] = list(params)
-        if lr < 0:
-            raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
+        if not math.isfinite(lr) or lr < 0:
+            raise ConfigurationError(f"learning rate must be finite and >= 0, got {lr}")
         if any(p.grad is None for p in self.params):
             raise ConfigurationError("Adam needs requires_grad parameters")
         self.lr = float(lr)

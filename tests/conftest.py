@@ -54,8 +54,9 @@ def tiny_model(n_classes=3, in_channels=2, seed=0):
 
 
 # (dotted key, value) pairs the experiment config reader must reject, naming
-# the key: strings for bools, floats for ints, non-lists for lists, and the
-# encoder's in_channels, which the data fix
+# the key: strings for bools, floats for ints, non-lists for lists, NaN and
+# ±Infinity (which Python's json reads) for floats, and the encoder's
+# in_channels, which the data fix
 WRONG_TYPED_CONFIG_VALUES = [
     ("accup.use_contrast", "false"),
     ("layer_mask.conv1", "false"),
@@ -65,6 +66,10 @@ WRONG_TYPED_CONFIG_VALUES = [
     ("seeds", 5),
     ("batch_size", "x"),
     ("accup.eta", "big"),
+    ("accup.lr", float("nan")),
+    ("accup.tau", float("inf")),
+    ("data.target.amplitude", float("-inf")),
+    ("pretrain_lr", float("nan")),
     ("accup", [1]),
     ("data.kind", "tape"),
     ("data.kind", ["synthetic"]),
@@ -79,10 +84,13 @@ WRONG_TYPED_CONFIG_IDS = [f"{key}={json.dumps(value)}"
 
 # well-typed (key, value) pairs out of range, which must fail at load naming
 # the key: a zero pretraining batch or a negative seed used to die late with
-# a bare ValueError, and a repeated seed overwrote its own snapshot
+# a bare ValueError, a repeated seed overwrote its own snapshot, and a
+# negative baseline_lr was written into the summary of an ACCUP run
 OUT_OF_RANGE_CONFIG_VALUES = [
     ("pretrain_batch", 0),
     ("pretrain_epochs", -1),
+    ("pretrain_lr", -1.0),
+    ("baseline_lr", -1.0),
     ("seeds", [-1]),
     ("seeds", [0, 0]),
 ]

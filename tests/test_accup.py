@@ -175,7 +175,6 @@ class TestSupportSet:
         assert len(support) == 4
         for c in range(4):
             np.testing.assert_array_equal(support.entropies[c], [0.0])
-            np.testing.assert_array_equal(support.logits[c], np.eye(4)[c:c + 1])
             np.testing.assert_array_equal(support.features[c], np.eye(4, 7)[c:c + 1])
 
     def test_empty_update_is_noop(self):
@@ -197,10 +196,16 @@ class TestSupportSet:
         rng = np.random.default_rng(7)
         support = SupportSet.from_classifier(rng.normal(size=(4, 5)), 10)
         logits = rng.normal(size=(10, 4))
-        update_support(support, rng.normal(size=(10, 5)), logits,
-                       shannon_entropy(logits), logits.argmax(axis=1))
+        features, entropies = rng.normal(size=(10, 5)), shannon_entropy(logits)
+        labels = logits.argmax(axis=1)
+        update_support(support, features, logits, entropies, labels)
         for c in range(4):
-            assert np.all(support.logits[c].argmax(axis=1) == c)
+            # after the zero-entropy classifier row: the rows whose argmax is
+            # c, in entropy order
+            rows = labels == c
+            np.testing.assert_array_equal(
+                support.features[c][1:], features[rows][np.argsort(entropies[rows], kind="stable")]
+            )
 
     def test_mismatched_label_rejected(self):
         support = SupportSet.from_classifier(np.eye(3, 5), 10)
@@ -214,7 +219,7 @@ class TestComputePrototypes:
         support = SupportSet.from_classifier(np.array([[1.0, 2, 3], [4, 5, 6]]), 5)
         protos = compute_prototypes(support, k=5)
         np.testing.assert_array_equal(protos.mu, [[1.0, 2, 3], [4, 5, 6]])
-        np.testing.assert_array_equal(protos.counts, [1, 1])
+        np.testing.assert_array_equal(support.class_counts(), [1, 1])
 
     def test_lowest_entropy_wins(self):
         support = SupportSet(2, 2, 3)
@@ -278,13 +283,12 @@ class TestBoundedStore:
                                  rng.uniform(0.0, 2.0, size=b))
             insert(support, history, rng.normal(size=(b, feature_dim)), logits,
                    entropies, labels)
-            assert np.all(support.class_counts() <= bound)
+            np.testing.assert_array_equal(
+                support.class_counts(), [min(len(rows), bound) for rows in history]
+            )
             for k in range(1, bound + 1):
                 protos = compute_prototypes(support, k)
                 np.testing.assert_array_equal(protos.mu, prototypes_oracle(history, k))
-                np.testing.assert_array_equal(
-                    protos.counts, [min(len(rows), k) for rows in history]
-                )
         assert len(support) == n_classes * bound
         assert sum(len(rows) for rows in history) > 10 * len(support)
 
@@ -307,8 +311,7 @@ class TestPrototypeLogits:
     def test_orthogonal_two_class_case(self):
         from tsadapt.accup import PrototypeSet
 
-        protos = PrototypeSet(mu=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                              counts=np.array([1, 1]))
+        protos = PrototypeSet(mu=np.array([[1.0, 0.0], [0.0, 1.0]]))
         p = prototype_logits(np.array([[1.0, 0.0]]), protos, eta=1.0)
         np.testing.assert_allclose(
             p.data, [[0.7310585786300049, 0.2689414213699951]], atol=1e-12
@@ -318,7 +321,7 @@ class TestPrototypeLogits:
         from tsadapt.accup import PrototypeSet
 
         rng = np.random.default_rng(11)
-        protos = PrototypeSet(mu=rng.normal(size=(4, 6)), counts=np.ones(4, dtype=int))
+        protos = PrototypeSet(mu=rng.normal(size=(4, 6)))
         f = rng.normal(size=(3, 6))
         base = prototype_logits(f, protos, eta=7.0).data
         for alpha in (0.01, 5.0, 300.0):
@@ -330,7 +333,7 @@ class TestPrototypeLogits:
         from tsadapt.accup import PrototypeSet
 
         rng = np.random.default_rng(12)
-        protos = PrototypeSet(mu=rng.normal(size=(3, 5)), counts=np.ones(3, dtype=int))
+        protos = PrototypeSet(mu=rng.normal(size=(3, 5)))
         p = prototype_logits(rng.normal(size=(4, 5)), protos, eta=100.0).data
         assert np.all(p.max(axis=1) > 0.99)
 
@@ -338,14 +341,14 @@ class TestPrototypeLogits:
         from tsadapt.accup import PrototypeSet
 
         rng = np.random.default_rng(13)
-        protos = PrototypeSet(mu=rng.normal(size=(5, 8)), counts=np.ones(5, dtype=int))
+        protos = PrototypeSet(mu=rng.normal(size=(5, 8)))
         p = prototype_logits(rng.normal(size=(40, 8)), protos, eta=20.0).data
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_eta_must_be_positive(self):
         from tsadapt.accup import PrototypeSet
 
-        protos = PrototypeSet(mu=np.eye(2), counts=np.ones(2, dtype=int))
+        protos = PrototypeSet(mu=np.eye(2))
         with pytest.raises(ConfigurationError):
             prototype_logits(np.eye(2), protos, eta=0.0)
 

@@ -133,8 +133,9 @@ class TestPretrain:
         with pytest.raises(ContractError):
             pretrain_source(model, np.zeros((0, 2, 16)), np.zeros(0, dtype=int))
 
-    @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"epochs": -3}, {"seed": -1}],
-                             ids=["batch_size", "epochs", "seed"])
+    @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"epochs": -3}, {"seed": -1},
+                                    {"lr": float("inf")}, {"lr": float("nan")}],
+                             ids=["batch_size", "epochs", "seed", "lr-inf", "lr-nan"])
     def test_bad_arguments_rejected(self, kw):
         model = tiny_model()
         with pytest.raises(ConfigurationError):

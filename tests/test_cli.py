@@ -36,6 +36,21 @@ class TestGenerateData:
         meta = json.loads((dataset_dir / "meta.json").read_text())
         assert meta["channels"] == 2 and meta["classes"] == 3
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--channels", "0", "channels"), ("--length", "0", "length"),
+        ("--n-source", "0", "n_source"), ("--n-target", "-5", "n_target"),
+        ("--base-amplitude", "nan", "amplitude"), ("--noise-std", "inf", "noise_std"),
+        ("--offset", "inf", "offset"),
+    ])
+    def test_degenerate_shape_is_exit_2(self, tmp_path, capsys, flag, value, key):
+        # zero sizes used to write a degenerate directory and exit 0, and a
+        # negative one ended in a ValueError traceback
+        out = tmp_path / "data"
+        assert main(["generate-data", "--out", str(out), "--n-source", "8",
+                     "--n-target", "8", flag, value]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPretrain:
     def test_trains_and_saves_snapshot(self, dataset_dir, tmp_path):
@@ -74,7 +89,8 @@ class TestPretrain:
         assert sidecar["encoder"]["filters"] == [16, 24, 24]
 
     @pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--epochs", "-3"),
-                                             ("--seed", "-1")])
+                                             ("--seed", "-1"), ("--pretrain-lr", "inf"),
+                                             ("--pretrain-lr", "nan")])
     def test_bad_pretraining_argument_is_exit_2(self, dataset_dir, tmp_path, flag, value):
         # --epochs -3 used to save an untrained snapshot; the others raised
         # a bare ValueError. A repeated --epochs takes its last value.
@@ -132,6 +148,20 @@ class TestAdapt:
             "--tau", "-0.5",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--eta", "nan", "eta"), ("--lr", "inf", "lr"), ("--tau", "inf", "tau"),
+    ])
+    def test_non_finite_accup_flag_is_exit_2(self, dataset_dir, tmp_path, capsys,
+                                             flag, value, key):
+        # --eta nan and --lr inf used to fail mid-stream with exit 4, and
+        # --tau inf ran to exit 0 with a meaningless loss
+        out = tmp_path / "x"
+        code = main(["adapt", "--data", str(dataset_dir), "--out", str(out),
+                     "--strategy", "accup", "--seeds", "0", "--epochs", "1", flag, value])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_snapshot_is_exit_4(self, dataset_dir, tmp_path):
         import numpy as np

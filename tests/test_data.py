@@ -182,6 +182,21 @@ class TestShiftSpec:
         with pytest.raises(ConfigurationError):
             ShiftSpec(class_probs=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("field, value", [
+        ("channels", 0), ("length", 0), ("length", -3), ("amplitude", float("nan")),
+        ("amplitude", (1.0, float("inf"))), ("noise_std", float("inf")),
+        ("offset", float("-inf")),
+    ])
+    def test_degenerate_shape_or_non_finite_level_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ShiftSpec(**{field: value})
+
+    @pytest.mark.parametrize("sizes, name", [((0, 8), "n_source"), ((8, 0), "n_target"),
+                                             ((8, -5), "n_target")])
+    def test_empty_or_negative_sizes_rejected(self, sizes, name):
+        with pytest.raises(ConfigurationError, match=name):
+            generate_shifted_pair(ShiftSpec(), ShiftSpec(), sizes, seed=0)
+
     def test_mismatched_specs_rejected(self):
         a = ShiftSpec(class_freqs=(2.0, 5.0))
         b = ShiftSpec(class_freqs=(2.0, 6.0))
