@@ -66,8 +66,9 @@ normed = ad.batch_norm1d(conv, Tensor(np.ones(5)), Tensor(np.zeros(5)), state,
                          "train-stats")
 print("batch norm per-channel mean ~0:", np.allclose(normed.data.mean(axis=(0, 2)), 0,
                                                      atol=1e-10))
-pooled = ad.max_pool1d(ad.relu(normed), 2)
-ad.backward(ad.tensor_sum(pooled))
+# the encoder's block order: pooling first, so relu runs on half the values
+activated = ad.relu(ad.max_pool1d(normed, 2))
+ad.backward(ad.tensor_sum(activated))
 print("gradient flowed back to the input:", float(np.abs(signal.grad).sum()) > 0)
 
 # --- parameter snapshots -------------------------------------------------------

@@ -14,6 +14,7 @@ does not grow with the stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -245,15 +246,16 @@ class AccupConfig(Record):
     def __post_init__(self):
         if not isinstance(self.k_support, Integral) or self.k_support < 1:
             raise ConfigurationError(f"k_support must be an integer >= 1, got {self.k_support!r}")
-        if self.eta <= 0:
-            raise ConfigurationError(f"eta must be > 0, got {self.eta}")
-        if self.tau <= 0:
-            raise ConfigurationError(f"tau must be > 0, got {self.tau}")
+        # chained with math.inf, so that NaN and ±Infinity fail each range
+        if not 0 < self.eta < math.inf:
+            raise ConfigurationError(f"eta must be finite and > 0, got {self.eta}")
+        if not 0 < self.tau < math.inf:
+            raise ConfigurationError(f"tau must be finite and > 0, got {self.tau}")
         if not 0.0 < self.ensemble_weight < 1.0:
             raise ConfigurationError(
                 f"ensemble_weight must be in (0, 1), got {self.ensemble_weight}"
             )
-        if self.lr < 0:
-            raise ConfigurationError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigurationError(f"lr must be finite and >= 0, got {self.lr}")
         if self.bn_policy not in ("batch", "running"):
             raise ConfigurationError(f"unknown bn policy {self.bn_policy!r}")

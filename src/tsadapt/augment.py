@@ -7,6 +7,7 @@ augmentation bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class AugmentSpec(Record):
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown augmentation kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ConfigurationError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.knots < 2:
             raise ConfigurationError(f"knots must be >= 2, got {self.knots}")
         if self.segments < 1:

@@ -26,6 +26,16 @@ by tap from x instead of keeping its im2col columns, batch_norm1d
 recomputes xhat from x, relu rebuilds its mask from its output, and
 max_pool1d keeps only small-integer window indices.
 
+Which arrays a backward reads is part of the contract:
+  * conv1d reads its input x and its weight, never its output
+  * batch_norm1d reads its input x, never its output
+  * relu reads only its own output
+  * max_pool1d reads only its window indices, neither its input nor its
+    output
+A caller that knows no later op or backward reads a tensor's array may
+drop it with Tensor.release(); the tensor stays on the tape for its
+gradient, and an op handed it afterwards raises ContractError.
+
 add, sub and mul take operands of identical shape and do not broadcast;
 any other pair raises ConformanceError.
 
@@ -86,6 +96,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
+    def release(self) -> None:
+        """Drop the array of an activation no backward reads (see the module
+        docstring); the tensor can still carry a gradient, but no op may
+        take it as an input again."""
+        self.data = None
+
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -95,7 +111,11 @@ class Tensor:
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    if not isinstance(x, Tensor):
+        return Tensor(x)
+    if x.data is None:
+        raise ContractError("tensor was released: its data is gone")
+    return x
 
 
 class Graph:

@@ -1,8 +1,21 @@
 """Three-block 1D-CNN encoder, linear classifier, and source pretraining.
 
-Each encoder block is conv1d -> batch norm -> relu -> max pool; a global
+Each encoder block is conv1d -> batch norm -> max pool -> relu; a global
 average pool over time turns the last block's activations into one feature
 vector per sample. The classifier is a single linear layer.
+
+Pooling before relu is the same function as the usual relu-then-pool
+order: the windows do not overlap, and max(max_j x_j, 0) = max_j max(x_j, 0).
+The gradients are the same as well. A window whose maximum is positive
+routes its gradient to the same first maximum either way, and a window
+whose maximum is not positive passes none in either order. relu then runs
+on the pooled values only, half of them at pool width 2.
+
+Once relu has run, `encode` releases the batch-norm and max-pool outputs,
+because no backward reads them (see the autodiff module docstring). Each
+block keeps only its conv1d output, which batch norm's backward reads, and
+its relu output, which relu's own backward and the next block's conv1d
+read.
 """
 
 from __future__ import annotations
@@ -154,9 +167,11 @@ def encode(model: Model, x, bn_mode: str = "running-stats") -> Tensor:
     cfg = model.config
     for blk, k, s, p in zip(model.blocks, cfg.kernel_sizes, cfg.strides, cfg.pool_widths):
         t = ad.conv1d(t, blk.weight, blk.bias, stride=s, padding=k // 2)
-        t = ad.batch_norm1d(t, blk.gamma, blk.beta, blk.bn, mode=bn_mode)
-        t = ad.relu(t)
-        t = ad.max_pool1d(t, p)
+        normed = ad.batch_norm1d(t, blk.gamma, blk.beta, blk.bn, mode=bn_mode)
+        pooled = ad.max_pool1d(normed, p)
+        t = ad.relu(pooled)
+        normed.release()
+        pooled.release()
     return ad.mean(t, axis=2)
 
 

@@ -12,6 +12,7 @@ pseudo-label bn-stats forward, then one cross-entropy step against the
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 
 import numpy as np
@@ -29,8 +30,8 @@ class StrategyConfig:
     def __init__(self, kind: str, lr: float = 1e-3):
         if kind not in KINDS:
             raise ConfigurationError(f"unknown baseline kind {kind!r}")
-        if lr < 0:
-            raise ConfigurationError(f"lr must be >= 0, got {lr}")
+        if not 0 <= lr < math.inf:
+            raise ConfigurationError(f"lr must be finite and >= 0, got {lr}")
         self.kind = kind
         self.lr = float(lr)
 

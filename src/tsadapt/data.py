@@ -231,9 +231,10 @@ class ShiftSpec(Record):
         for name in ("channels", "length"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("amplitude", "noise_std", "offset"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("class_freqs", "class_phases", "amplitude", "noise_std", "offset"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if len(set(self.class_freqs)) != len(self.class_freqs):
             raise ConfigurationError("class frequencies must be distinct")
         if self.class_phases is not None and len(self.class_phases) != len(self.class_freqs):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -122,10 +123,10 @@ class ExperimentConfig(Record):
             raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.pretrain_epochs < 0:
             raise ConfigurationError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
-        if self.pretrain_lr < 0:
-            raise ConfigurationError(f"pretrain_lr must be >= 0, got {self.pretrain_lr}")
-        if self.baseline_lr < 0:
-            raise ConfigurationError(f"baseline_lr must be >= 0, got {self.baseline_lr}")
+        for name in ("pretrain_lr", "baseline_lr"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.pretrain_batch < 1:
             raise ConfigurationError(f"pretrain_batch must be >= 1, got {self.pretrain_batch}")
         if self.batch_size < 1:

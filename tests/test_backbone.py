@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import tsadapt.autodiff as ad
+from tsadapt.autodiff import Tensor
 from tsadapt.backbone import (
+    BN_MODES,
     EncoderConfig,
     Model,
     classify,
@@ -35,6 +37,72 @@ class TestEncoderConfig:
     def test_block_sizes_must_be_positive(self, name):
         with pytest.raises(ContractError, match=name):
             EncoderConfig(in_channels=1, **{name: (2, 0, 2)})
+
+
+class TestBlockOrder:
+    """encode pools before relu. The usual relu-then-pool block is the same
+    function, with the same gradients and running statistics, bit for bit."""
+
+    @staticmethod
+    def relu_then_pool(model, x, bn_mode, pool_inputs):
+        t = Tensor(x)
+        cfg = model.config
+        for blk, k, s, p in zip(model.blocks, cfg.kernel_sizes, cfg.strides, cfg.pool_widths):
+            t = ad.conv1d(t, blk.weight, blk.bias, stride=s, padding=k // 2)
+            t = ad.batch_norm1d(t, blk.gamma, blk.beta, blk.bn, mode=bn_mode)
+            pool_inputs.append((t.data.copy(), p))
+            t = ad.max_pool1d(ad.relu(t), p)
+        return ad.mean(t, axis=2)
+
+    @pytest.mark.parametrize("bn_mode", BN_MODES)
+    @pytest.mark.parametrize("pool", [2, 3])
+    def test_pool_then_relu_equals_relu_then_pool(self, bn_mode, pool):
+        cfg = EncoderConfig(2, filters=(4, 5, 6), kernel_sizes=(3, 3, 2),
+                            pool_widths=(pool, pool, pool))
+        model = Model(cfg, 3, seed=0)
+        # integer weights and inputs give integer conv outputs, so pooling
+        # windows hold exact ties, zeros and no positive value at all
+        rng = np.random.default_rng(21)
+        for blk in model.blocks:
+            blk.weight.data[...] = rng.integers(-2, 3, size=blk.weight.shape)
+        x = rng.integers(-3, 4, size=(4, 2, 56)).astype(np.float64)
+        labels = np.array([0, 1, 2, 1])
+        twin = model.clone()
+
+        def step(m, feats):
+            logits = classify(m, feats)
+            ad.backward(cross_entropy(logits, labels))
+            return (feats.data, logits.data, [p.grad for p in m.named_parameters().values()],
+                    list(m.named_buffers().values()))
+
+        pool_inputs = []
+        f_new, l_new, g_new, b_new = step(model, encode(model, x, bn_mode))
+        f_old, l_old, g_old, b_old = step(twin, self.relu_then_pool(twin, x, bn_mode, pool_inputs))
+        assert np.array_equal(f_new, f_old)
+        assert np.array_equal(l_new, l_old)
+        assert all(np.array_equal(a, b) for a, b in zip(g_new, g_old))
+        assert all(np.any(blk.weight.grad != 0.0) for blk in model.blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(b_new, b_old))
+        # the cases that could tell the two orders apart do occur
+        windows = [v[..., : v.shape[-1] // p * p].reshape(*v.shape[:2], -1, p)
+                   for v, p in pool_inputs]
+        top = [w.max(axis=-1, keepdims=True) for w in windows]
+        assert any(np.any((w == t).sum(axis=-1) > 1) for w, t in zip(windows, top))
+        assert any(np.any(t < 0.0) for t in top)
+
+
+class TestReleasedActivations:
+    def test_encode_keeps_only_what_backward_reads(self):
+        model = tiny_model()
+        x = np.random.default_rng(22).normal(size=(4, 2, 16))
+        feats = encode(model, x, "train-stats")
+        held = {}
+        for op, _, out, _ in ad.active_graph().nodes:
+            held.setdefault(op, []).append(out.data is not None)
+        assert held == {"conv1d": [True] * 3, "batch_norm1d": [False] * 3,
+                        "max_pool1d": [False] * 3, "relu": [True] * 3, "mean": [True]}
+        ad.backward(ad.tensor_sum(feats))
+        assert all(np.any(blk.weight.grad != 0.0) for blk in model.blocks)
 
 
 class TestEncode:

@@ -185,7 +185,8 @@ class TestShiftSpec:
     @pytest.mark.parametrize("field, value", [
         ("channels", 0), ("length", 0), ("length", -3), ("amplitude", float("nan")),
         ("amplitude", (1.0, float("inf"))), ("noise_std", float("inf")),
-        ("offset", float("-inf")),
+        ("offset", float("-inf")), ("class_freqs", (2.0, float("nan"), 8.0)),
+        ("class_phases", (0.0, float("inf"), 0.0)),
     ])
     def test_degenerate_shape_or_non_finite_level_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):

@@ -11,6 +11,7 @@ import pytest
 import tsadapt.experiment as experiment
 from tsadapt.accup import AccupConfig
 from tsadapt.augment import AugmentSpec
+from tsadapt.baselines import StrategyConfig
 from tsadapt.data import DatasetMeta, ShiftSpec
 from tsadapt.errors import ConfigurationError
 from tsadapt.experiment import (
@@ -65,6 +66,25 @@ class TestConfig:
         )
         assert restored.to_dict() == config.to_dict()
         assert config_hash(restored) == config_hash(config)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("make, field", [
+        pytest.param(lambda v: AccupConfig(eta=v), "eta", id="AccupConfig.eta"),
+        pytest.param(lambda v: AccupConfig(tau=v), "tau", id="AccupConfig.tau"),
+        pytest.param(lambda v: AccupConfig(lr=v), "lr", id="AccupConfig.lr"),
+        pytest.param(lambda v: AccupConfig(ensemble_weight=v), "ensemble_weight",
+                     id="AccupConfig.ensemble_weight"),
+        pytest.param(lambda v: AugmentSpec(sigma=v), "sigma", id="AugmentSpec.sigma"),
+        pytest.param(lambda v: ExperimentConfig(baseline_lr=v), "baseline_lr",
+                     id="ExperimentConfig.baseline_lr"),
+        pytest.param(lambda v: ExperimentConfig(pretrain_lr=v), "pretrain_lr",
+                     id="ExperimentConfig.pretrain_lr"),
+        pytest.param(lambda v: StrategyConfig("tent", v), "lr", id="StrategyConfig.lr"),
+    ])
+    def test_non_finite_float_rejected_at_construction(self, make, field, value):
+        # built in Python, without the JSON reader's finiteness check
+        with pytest.raises(ConfigurationError, match=field):
+            make(value)
 
     def test_empty_seeds_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
