@@ -12,7 +12,6 @@ dataclass reads and writes its JSON form through `tsadapt.config`.
 
 from .accup import (
     AccupConfig,
-    PrototypeSet,
     SupportSet,
     compute_prototypes,
     contrastive_loss,
@@ -41,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccupConfig", "AdaptState", "AugmentSpec", "DatasetMeta", "EncoderConfig",
-    "LayerMask", "MacroF1Report", "Model", "PrototypeSet", "RunRecord",
+    "LayerMask", "MacroF1Report", "Model", "RunRecord",
     "ShiftSpec", "StrategyConfig", "SupportSet", "Tensor", "TimeSeriesBatch",
     "adapt_batch", "apply_augment", "backward", "classify", "compute_prototypes",
     "contrastive_loss", "encode", "ensemble", "entropy_compare",

@@ -102,15 +102,8 @@ def update_support(support: SupportSet, features, logits, entropies, pseudo_labe
     return support
 
 
-@dataclass
-class PrototypeSet:
-    """One feature centroid per class."""
-
-    mu: np.ndarray  # (C, F)
-
-
-def compute_prototypes(support: SupportSet, k: int) -> PrototypeSet:
-    """Mean feature of the k lowest-entropy entries per class.
+def compute_prototypes(support: SupportSet, k: int) -> np.ndarray:
+    """(C, F) array: the mean feature of the k lowest-entropy entries per class.
 
     Ties break by insertion order (earlier wins); the classifier-init entry
     carries entropy 0 and therefore never drops out. The store is already
@@ -121,11 +114,11 @@ def compute_prototypes(support: SupportSet, k: int) -> PrototypeSet:
         raise ConfigurationError(f"support filter size must be >= 1, got {k}")
     if k > support.k:
         raise ContractError(f"filter size {k} exceeds the support set's bound {support.k}")
-    return PrototypeSet(mu=np.stack([f[:k].mean(axis=0) for f in support.features]))
+    return np.stack([f[:k].mean(axis=0) for f in support.features])
 
 
-def prototype_logits(features, protos: PrototypeSet, eta: float) -> Tensor:
-    """Softmax over classes of eta * cos(feature, prototype).
+def prototype_logits(features, prototypes: np.ndarray, eta: float) -> Tensor:
+    """Softmax over classes of eta * cos(feature, prototype), for (C, F) prototypes.
 
     Zero-norm features or prototypes give cosine 0 for the affected pairs.
     Prototypes are constants; gradients flow only through the features.
@@ -133,7 +126,7 @@ def prototype_logits(features, protos: PrototypeSet, eta: float) -> Tensor:
     if eta <= 0:
         raise ConfigurationError(f"prototype scale must be > 0, got {eta}")
     f = features if isinstance(features, Tensor) else Tensor(features)
-    cos = ad.cosine_pairs(f, Tensor(protos.mu))
+    cos = ad.cosine_pairs(f, Tensor(prototypes))
     return ad.softmax(ad.scalar_mul(cos, float(eta)))
 
 
@@ -205,19 +198,6 @@ def contrastive_loss(view_logits, pseudo_labels, tau: float) -> Tensor:
     weights[valid] = pos[valid] / (tau * pos_count[valid, None])
     pos_term = ad.tensor_sum(ad.mul(sims, Tensor(weights)))
     return ad.sub(denom_term, pos_term)
-
-
-@dataclass
-class EnsembleOutput:
-    """Detached per-batch values of the prediction pipeline."""
-
-    f_ens: np.ndarray
-    p_ens: np.ndarray
-    h_ens: np.ndarray
-    p_proto: np.ndarray | None
-    h_proto: np.ndarray | None
-    p_out: np.ndarray
-    pseudo_labels: np.ndarray
 
 
 @dataclass

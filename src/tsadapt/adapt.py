@@ -22,12 +22,12 @@ import numpy as np
 
 from . import accup as acc
 from . import autodiff as ad
-from .accup import AccupConfig, EnsembleOutput, PrototypeSet, SupportSet
+from .accup import AccupConfig, SupportSet
 from .augment import apply_augment
 from .backbone import Model, classify, encode
 from .baselines import StrategyConfig, baseline_adapt_batch
 from .config import Record
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, DegenerateBatchError
 from .metrics import MacroF1Report, macro_f1
 from .optim import Adam
 
@@ -114,7 +114,7 @@ def accup_batch(
     x_aug: np.ndarray | None,
     config: AccupConfig,
     support: SupportSet | None = None,
-    prototypes: PrototypeSet | None = None,
+    prototypes: np.ndarray | None = None,
 ):
     """Predict one batch and build its contrastive loss.
 
@@ -124,9 +124,10 @@ def accup_batch(
     they run under no_grad; with config.use_contrast off nothing is
     recorded and the loss is None. The streaming path passes `support`:
     ensemble rows are appended to it and prototypes are rebuilt before
-    being used (as constants). The gradient check path passes `prototypes`
-    directly so the loss is a pure function of the model parameters.
-    Returns (EnsembleOutput, loss tensor or None).
+    being used (as constants). The gradient check path passes the (C, F)
+    `prototypes` directly so the loss is a pure function of the model
+    parameters. Returns (pseudo-labels, loss tensor or None), the shape of
+    `baselines.baseline_adapt_batch`.
     """
     bn_mode = "train-stats" if config.bn_policy == "batch" else "running-stats"
     two_views = config.use_augmentation and x_aug is not None
@@ -158,26 +159,14 @@ def accup_batch(
 
         if compare:
             p_proto = acc.prototype_logits(f_ens, protos, config.eta)
-            h_proto = acc.shannon_entropy(p_proto.data)
-            p_out, pseudo = acc.entropy_compare(p_ens, h_ens, p_proto, h_proto)
-            p_proto_val, h_proto_val = p_proto.data, h_proto
+            _, pseudo = acc.entropy_compare(p_ens, h_ens, p_proto,
+                                            acc.shannon_entropy(p_proto.data))
         else:
             # without the comparison scheme the ensemble prediction stands
-            p_out, pseudo = p_ens, p_ens.data.argmax(axis=1)
-            p_proto_val = h_proto_val = None
-
-    outputs = EnsembleOutput(
-        f_ens=f_ens.data.copy(),
-        p_ens=p_ens.data.copy(),
-        h_ens=h_ens,
-        p_proto=p_proto_val,
-        h_proto=h_proto_val,
-        p_out=p_out.data.copy(),
-        pseudo_labels=pseudo,
-    )
+            pseudo = p_ens.data.argmax(axis=1)
 
     if not config.use_contrast:
-        return outputs, None
+        return pseudo, None
 
     def per_view(p_view, f_view):
         if compare:
@@ -191,7 +180,7 @@ def accup_batch(
 
     z = ad.concat([per_view(p_raw, f_raw), per_view(p_aug, f_aug)], axis=0)
     labels = np.concatenate([pseudo, pseudo])
-    return outputs, acc.contrastive_loss(z, labels, config.tau)
+    return pseudo, acc.contrastive_loss(z, labels, config.tau)
 
 
 def adapt_batch(state: AdaptState, values: np.ndarray):
@@ -200,7 +189,8 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
     The strategy gives the pre-update predictions and its loss, or None
     (source, bn-stats, ACCUP without the contrastive loss). With a loss one
     backward and one Adam step follow; without one the loss value is 0.0.
-    Returns (predictions, loss value, state). A step that raises leaves the
+    Returns (predictions, loss value, state). A batch with no rows raises
+    DegenerateBatchError for every strategy. A step that raises leaves the
     shared tape empty, and a NumericDomainError names the stream step
     ("step N: exp: ...").
     """
@@ -208,14 +198,15 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
         raise ContractError(
             "adapt_batch takes a bare (B, Cin, L) value array; strip labels first"
         )
+    if values.shape[:1] == (0,):
+        raise DegenerateBatchError(f"step {state.step}: empty batch, need at least one row")
     cfg = state.config
     with ad.active_graph().guard(f"step {state.step}"):
         if isinstance(cfg, StrategyConfig):
             preds, loss = baseline_adapt_batch(state, values)
         else:
             x_aug = apply_augment(values, cfg.augment, state.rng) if cfg.use_augmentation else None
-            outputs, loss = accup_batch(state.model, values, x_aug, cfg, support=state.support)
-            preds = outputs.pseudo_labels
+            preds, loss = accup_batch(state.model, values, x_aug, cfg, support=state.support)
         loss_value = 0.0
         if loss is not None:
             state.optimizer.zero_grad()

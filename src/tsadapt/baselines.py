@@ -14,26 +14,30 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .backbone import cross_entropy, forward
+from .config import Record
 from .errors import ConfigurationError
 
 KINDS = ("source", "bn-stats", "tent", "pseudo-label")
 
 
-class StrategyConfig:
+@dataclass(frozen=True)
+class StrategyConfig(Record):
     """Baseline kind plus the learning rate for the strategies that step."""
 
-    def __init__(self, kind: str, lr: float = 1e-3):
-        if kind not in KINDS:
-            raise ConfigurationError(f"unknown baseline kind {kind!r}")
-        if not 0 <= lr < math.inf:
-            raise ConfigurationError(f"lr must be finite and >= 0, got {lr}")
-        self.kind = kind
-        self.lr = float(lr)
+    kind: str
+    lr: float = 1e-3
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigurationError(f"unknown baseline kind {self.kind!r}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigurationError(f"lr must be finite and >= 0, got {self.lr}")
 
     def takes_step(self) -> bool:
         return self.kind in ("tent", "pseudo-label")

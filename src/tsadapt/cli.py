@@ -129,10 +129,7 @@ def _experiment_from_args(args) -> ExperimentConfig:
     if args.config:
         config = ExperimentConfig.from_json_file(args.config)
     else:
-        config = ExperimentConfig(
-            data=DirectoryData(path=args.data, meta=load_meta(args.data)),
-            output_dir=args.out,
-        )
+        config = ExperimentConfig(data=DirectoryData(path=args.data, meta=load_meta(args.data)))
     overrides = {}
     if args.strategy is not None:
         overrides["strategy"] = args.strategy
@@ -144,7 +141,7 @@ def _experiment_from_args(args) -> ExperimentConfig:
         overrides["model_path"] = args.model
     if args.epochs is not None:
         overrides["pretrain_epochs"] = args.epochs
-    if args.out:
+    if args.out is not None:
         overrides["output_dir"] = args.out
     if overrides:
         config = replace(config, **overrides)
@@ -243,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", default=None, help="comma-separated run seeds")
         p.add_argument("--batch-size", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None, help="pretraining epochs")
-        p.add_argument("--out", default="runs")
+        p.add_argument("--out", default=None,
+                       help="output directory (default: the config file's output_dir, else runs)")
         _add_accup_flags(p)
         if extra:
             p.add_argument("--param", required=True, help="AccupConfig field to sweep")

@@ -1,9 +1,11 @@
 """Shared test helpers: finite differences, toy models, a tiny shift scenario."""
 
 import json
+from collections import defaultdict
 
 import pytest
 
+import tsadapt.accup as acc
 import tsadapt.autodiff as ad
 from tsadapt.backbone import EncoderConfig, Model, pretrain_source
 from tsadapt.data import ShiftSpec, generate_shifted_pair
@@ -126,3 +128,25 @@ def pretrained(shift_data):
     pretrain_source(model, train.values, train.labels, epochs=8, batch_size=32,
                     lr=1e-3, seed=0)
     return model
+
+
+@pytest.fixture
+def accup_calls(monkeypatch):
+    """Record the calls the ACCUP step makes into tsadapt.accup.
+
+    Maps each function name to a list of (positional args, result), in call
+    order; clear it to start a new record.
+    """
+    calls = defaultdict(list)
+
+    def spy(name, fn):
+        def recorder(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name].append((args, out))
+            return out
+        return recorder
+
+    for name in ("ensemble", "update_support", "compute_prototypes",
+                 "prototype_logits", "entropy_compare", "contrastive_loss"):
+        monkeypatch.setattr(acc, name, spy(name, getattr(acc, name)))
+    return calls

@@ -128,7 +128,7 @@ def test_criterion_01_prototype_oracle_equivalence():
             support, history = random_support_set(rng, n_classes, feature_dim)
             k = int(rng.integers(1, 12))
             protos = compute_prototypes(support, k)
-            np.testing.assert_array_equal(protos.mu, prototypes_oracle(history, k))
+            np.testing.assert_array_equal(protos, prototypes_oracle(history, k))
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
@@ -310,7 +310,7 @@ def test_criterion_07_streaming_discipline(pretrained, shift_data):
         assert relabeled.batch_predictions == full.batch_predictions
 
 
-def test_criterion_08_ablation_wiring(pretrained, shift_data):
+def test_criterion_08_ablation_wiring(pretrained, shift_data, accup_calls):
     with _report(8, "each ablation preset makes its module verifiably inert"):
         _, target = shift_data
         stream = make_stream(target, 32)[:5]
@@ -327,14 +327,21 @@ def test_criterion_08_ablation_wiring(pretrained, shift_data):
                                 for p in state.model.named_parameters().values()])
         np.testing.assert_array_equal(before, after)
 
-        # no-entcomp: outputs are the ensemble logits on every batch
+        # no-entcomp: no comparison runs, the ensemble logits give the
+        # predictions, and the loss contrasts the unfused view logits
         config = AccupConfig(use_entropy_comparison=False, lr=0.0)
         state = AdaptState(pretrained.clone(), config, seed=0)
+        accup_calls.clear()
         with ad.no_grad():
-            outs, _ = accup_batch(state.model, batch,
-                                  apply_augment(batch, config.augment, state.rng),
-                                  config, support=state.support)
-        np.testing.assert_array_equal(outs.p_out, outs.p_ens)
+            preds, _ = accup_batch(state.model, batch,
+                                   apply_augment(batch, config.augment, state.rng),
+                                   config, support=state.support)
+        assert accup_calls["entropy_compare"] == []
+        ((ens_args, (_, p_ens)),) = accup_calls["ensemble"]
+        np.testing.assert_array_equal(preds, p_ens.data.argmax(axis=1))
+        ((loss_args, _),) = accup_calls["contrastive_loss"]
+        np.testing.assert_array_equal(
+            loss_args[0].data, np.concatenate([ens_args[1].data, ens_args[3].data]))
 
         # no-augmentation: the pipeline behaves exactly as if the augmented
         # view were a bitwise copy of the raw view, and no noise is drawn
@@ -343,32 +350,39 @@ def test_criterion_08_ablation_wiring(pretrained, shift_data):
         m_off, m_dup = pretrained.clone(), pretrained.clone()
         support_off = SupportSet.from_classifier(m_off.cls_weight.data, config_off.k_support)
         support_dup = SupportSet.from_classifier(m_dup.cls_weight.data, config_dup.k_support)
-        outs_off, loss_off = accup_batch(m_off, batch, None, config_off,
-                                         support=support_off)
-        outs_dup, loss_dup = accup_batch(m_dup, batch, batch.copy(), config_dup,
-                                         support=support_dup)
+        accup_calls.clear()
+        preds_off, loss_off = accup_batch(m_off, batch, None, config_off,
+                                          support=support_off)
+        calls_off = dict(accup_calls)
+        accup_calls.clear()
+        preds_dup, loss_dup = accup_batch(m_dup, batch, batch.copy(), config_dup,
+                                          support=support_dup)
+        calls_dup = dict(accup_calls)
         ad.active_graph().clear()
-        np.testing.assert_array_equal(outs_off.p_ens, outs_dup.p_ens)
-        np.testing.assert_array_equal(outs_off.f_ens, outs_dup.f_ens)
-        np.testing.assert_array_equal(outs_off.p_out, outs_dup.p_out)
+        ((upd_off, _),) = calls_off["update_support"]
+        ((upd_dup, _),) = calls_dup["update_support"]
+        np.testing.assert_array_equal(upd_off[1], upd_dup[1])  # ensemble features
+        np.testing.assert_array_equal(upd_off[2], upd_dup[2])  # ensemble logits
+        np.testing.assert_array_equal(calls_off["entropy_compare"][0][1][0].data,
+                                      calls_dup["entropy_compare"][0][1][0].data)  # p_out
+        np.testing.assert_array_equal(preds_off, preds_dup)
         assert loss_off.item() == loss_dup.item()
         state = AdaptState(pretrained.clone(), config_off, seed=3)
         rng_before = state.rng.bit_generator.state
         adapt_batch(state, batch)
         assert state.rng.bit_generator.state == rng_before
 
-        # no-prototypes: ensemble-only logits, no support set at all
+        # no-prototypes: ensemble-only predictions, no support set at all
         config = AccupConfig(use_prototypes=False, lr=0.0)
         state = AdaptState(pretrained.clone(), config, seed=0)
         assert state.support is None
+        accup_calls.clear()
         preds, _, state = adapt_batch(state, batch)
-        with ad.no_grad():
-            outs, _ = accup_batch(pretrained.clone(), batch,
-                                  apply_augment(batch, config.augment,
-                                                np.random.default_rng(0)),
-                                  config)
-        assert outs.p_proto is None and outs.h_proto is None
-        np.testing.assert_array_equal(outs.p_out, outs.p_ens)
+        for name in ("update_support", "compute_prototypes", "prototype_logits",
+                     "entropy_compare"):
+            assert accup_calls[name] == [], name
+        ((_, (_, p_ens)),) = accup_calls["ensemble"]
+        np.testing.assert_array_equal(preds, p_ens.data.argmax(axis=1))
 
 
 def test_criterion_09_augmentation_correctness():

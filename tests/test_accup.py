@@ -218,7 +218,7 @@ class TestComputePrototypes:
     def test_single_entry_class(self):
         support = SupportSet.from_classifier(np.array([[1.0, 2, 3], [4, 5, 6]]), 5)
         protos = compute_prototypes(support, k=5)
-        np.testing.assert_array_equal(protos.mu, [[1.0, 2, 3], [4, 5, 6]])
+        np.testing.assert_array_equal(protos, [[1.0, 2, 3], [4, 5, 6]])
         np.testing.assert_array_equal(support.class_counts(), [1, 1])
 
     def test_lowest_entropy_wins(self):
@@ -230,7 +230,7 @@ class TestComputePrototypes:
         update_support(support, np.array([[7.0, 7.0]]), np.array([[0.0, 5.0]]),
                        [0.2], [1])
         protos = compute_prototypes(support, k=1)
-        np.testing.assert_array_equal(protos.mu[0], [1.0, 0.0])
+        np.testing.assert_array_equal(protos[0], [1.0, 0.0])
 
     def test_twenty_entry_class_matches_oracle_exactly(self):
         rng = np.random.default_rng(9)
@@ -239,7 +239,7 @@ class TestComputePrototypes:
             insert(support, history, rng.normal(size=(1, 6)), np.array([[1.0]]),
                    [float(rng.uniform(0, 2))], [0])
         protos = compute_prototypes(support, k=5)
-        np.testing.assert_array_equal(protos.mu, prototypes_oracle(history, 5))
+        np.testing.assert_array_equal(protos, prototypes_oracle(history, 5))
 
     def test_ties_break_by_insertion_order(self):
         support = SupportSet(1, 1, 2)
@@ -248,7 +248,7 @@ class TestComputePrototypes:
                            [0.5], [0])
         protos = compute_prototypes(support, k=2)
         # equal entropies: the two earliest entries are kept
-        np.testing.assert_array_equal(protos.mu, [[1.5]])
+        np.testing.assert_array_equal(protos, [[1.5]])
 
     def test_many_random_sets_match_oracle(self):
         rng = np.random.default_rng(10)
@@ -256,7 +256,7 @@ class TestComputePrototypes:
             support, history = random_support_set(rng)
             k = int(rng.integers(1, 8))
             protos = compute_prototypes(support, k)
-            np.testing.assert_array_equal(protos.mu, prototypes_oracle(history, k))
+            np.testing.assert_array_equal(protos, prototypes_oracle(history, k))
 
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -288,7 +288,7 @@ class TestBoundedStore:
             )
             for k in range(1, bound + 1):
                 protos = compute_prototypes(support, k)
-                np.testing.assert_array_equal(protos.mu, prototypes_oracle(history, k))
+                np.testing.assert_array_equal(protos, prototypes_oracle(history, k))
         assert len(support) == n_classes * bound
         assert sum(len(rows) for rows in history) > 10 * len(support)
 
@@ -309,19 +309,15 @@ class TestBoundedStore:
 
 class TestPrototypeLogits:
     def test_orthogonal_two_class_case(self):
-        from tsadapt.accup import PrototypeSet
-
-        protos = PrototypeSet(mu=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        protos = np.array([[1.0, 0.0], [0.0, 1.0]])
         p = prototype_logits(np.array([[1.0, 0.0]]), protos, eta=1.0)
         np.testing.assert_allclose(
             p.data, [[0.7310585786300049, 0.2689414213699951]], atol=1e-12
         )
 
     def test_scale_invariance(self):
-        from tsadapt.accup import PrototypeSet
-
         rng = np.random.default_rng(11)
-        protos = PrototypeSet(mu=rng.normal(size=(4, 6)))
+        protos = rng.normal(size=(4, 6))
         f = rng.normal(size=(3, 6))
         base = prototype_logits(f, protos, eta=7.0).data
         for alpha in (0.01, 5.0, 300.0):
@@ -330,25 +326,19 @@ class TestPrototypeLogits:
             )
 
     def test_sharpening_limit(self):
-        from tsadapt.accup import PrototypeSet
-
         rng = np.random.default_rng(12)
-        protos = PrototypeSet(mu=rng.normal(size=(3, 5)))
+        protos = rng.normal(size=(3, 5))
         p = prototype_logits(rng.normal(size=(4, 5)), protos, eta=100.0).data
         assert np.all(p.max(axis=1) > 0.99)
 
     def test_rows_sum_to_one(self):
-        from tsadapt.accup import PrototypeSet
-
         rng = np.random.default_rng(13)
-        protos = PrototypeSet(mu=rng.normal(size=(5, 8)))
+        protos = rng.normal(size=(5, 8))
         p = prototype_logits(rng.normal(size=(40, 8)), protos, eta=20.0).data
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_eta_must_be_positive(self):
-        from tsadapt.accup import PrototypeSet
-
-        protos = PrototypeSet(mu=np.eye(2))
+        protos = np.eye(2)
         with pytest.raises(ConfigurationError):
             prototype_logits(np.eye(2), protos, eta=0.0)
 

@@ -25,8 +25,13 @@ from tsadapt.adapt import (
 from tsadapt.augment import apply_augment
 from tsadapt.baselines import StrategyConfig
 from tsadapt.data import TimeSeriesBatch, make_stream
-from tsadapt.errors import ConfigurationError, ContractError, NumericDomainError
-from tsadapt.experiment import STRATEGIES, apply_preset
+from tsadapt.errors import (
+    ConfigurationError,
+    ContractError,
+    DegenerateBatchError,
+    NumericDomainError,
+)
+from tsadapt.experiment import ABLATION_PRESETS, STRATEGIES, apply_preset
 
 
 def quiet_config(**overrides):
@@ -229,15 +234,69 @@ class TestAdaptBatch:
                 assert kwargs == {} and args[0].config.kind == strategy
 
 
+def contract_configs():
+    """The four baselines, and ACCUP under each ablation preset and BN policy."""
+    configs = [pytest.param(StrategyConfig(kind, lr=1e-3), id=kind)
+               for kind in STRATEGIES if kind != "accup"]
+    for policy in ("batch", "running"):
+        base = quiet_config(use_contrast=True, lr=1e-3, bn_policy=policy)
+        configs.append(pytest.param(base, id=f"accup-{policy}-bn"))
+        configs.extend(pytest.param(apply_preset(base, preset), id=f"accup-{policy}-bn-{preset}")
+                       for preset in ABLATION_PRESETS)
+    return configs
+
+
+class TestStepContract:
+    """Every strategy's step returns (predictions, loss tensor or None)."""
+
+    @pytest.mark.parametrize("config", contract_configs())
+    def test_predictions_and_loss(self, config, pretrained, shift_data, monkeypatch):
+        _, target = shift_data
+        returned = []
+
+        def recording(fn):
+            def recorder(*args, **kwargs):
+                returned.append(fn(*args, **kwargs))
+                return returned[-1]
+            return recorder
+
+        for name in ("accup_batch", "baseline_adapt_batch"):
+            monkeypatch.setattr(adapt, name, recording(getattr(adapt, name)))
+        state = AdaptState(pretrained.clone(), config)
+        preds_out, loss_value, _ = adapt_batch(state, target.values[:16])
+        ((preds, loss),) = returned
+        assert isinstance(preds, np.ndarray) and preds.shape == (16,)
+        assert np.issubdtype(preds.dtype, np.integer)
+        assert preds_out is preds
+        steps = config.takes_step() if isinstance(config, StrategyConfig) else config.use_contrast
+        if steps:
+            assert isinstance(loss, ad.Tensor) and loss.shape == ()
+            assert loss_value == loss.item()
+        else:
+            assert loss is None and loss_value == 0.0
+
+    @pytest.mark.parametrize("strategy", STRATEGIES + ("accup-running-bn",))
+    def test_empty_batch_is_degenerate(self, strategy, pretrained):
+        config = (quiet_config(use_contrast=True, bn_policy="running")
+                  if strategy == "accup-running-bn" else stepping_config(strategy))
+        state = AdaptState(pretrained.clone(), config)
+        adapt_batch(state, np.zeros((4, 2, 64)))
+        with pytest.raises(DegenerateBatchError, match="^step 1: empty batch"):
+            adapt_batch(state, np.zeros((0, 2, 64)))
+        assert state.step == 1 and len(ad.active_graph()) == 0
+
+
 class TestModuleSwitchWiring:
-    def test_no_prototypes_and_no_entcomp_yield_ensemble_logits(self, pretrained, shift_data):
+    def test_no_prototypes_and_no_entcomp_yield_ensemble_logits(self, pretrained, shift_data,
+                                                                 accup_calls):
         _, target = shift_data
         config = quiet_config(use_prototypes=False, use_entropy_comparison=False)
         with ad.no_grad():
-            outs, _ = accup_batch(pretrained.clone(), target.values[:16],
-                                  target.values[:16], config)
-        np.testing.assert_array_equal(outs.p_out, outs.p_ens)
-        assert outs.p_proto is None
+            preds, _ = accup_batch(pretrained.clone(), target.values[:16],
+                                   target.values[:16], config)
+        assert accup_calls["prototype_logits"] == [] and accup_calls["entropy_compare"] == []
+        ((_, (_, p_ens)),) = accup_calls["ensemble"]
+        np.testing.assert_array_equal(preds, p_ens.data.argmax(axis=1))
 
 
 class TestRunStream:

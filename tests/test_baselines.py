@@ -1,5 +1,7 @@
 """Baseline strategies: reductions, parameter discipline, entropy behaviour."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,17 @@ class TestStrategyConfig:
     def test_known_kinds_only(self):
         with pytest.raises(ConfigurationError):
             StrategyConfig("gradient-storm")
+
+    def test_value_record(self):
+        config = StrategyConfig("tent", lr=1e-3)
+        assert config == StrategyConfig("tent") and config != StrategyConfig("tent", lr=0.0)
+        assert repr(config) == "StrategyConfig(kind='tent', lr=0.001)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.lr = 0.0
+        assert StrategyConfig.from_dict(config.to_dict()) == config
+        for lr in ("0.001", True, float("nan"), -1.0):
+            with pytest.raises(ConfigurationError, match="lr"):
+                StrategyConfig.from_dict({"kind": "tent", "lr": lr})
 
     def test_source_and_bn_take_no_step(self, pretrained, shift_data):
         _, target = shift_data

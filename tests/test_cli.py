@@ -240,6 +240,25 @@ class TestAdapt:
                      "--out", str(tmp_path / "cfg-runs")])
         assert code == 0
 
+    def test_config_file_output_dir_holds_without_out(self, dataset_dir, tmp_path,
+                                                       monkeypatch, capsys):
+        from tsadapt.data import DatasetMeta
+        from tsadapt.experiment import DirectoryData
+
+        wanted = tmp_path / "wanted"
+        config = ExperimentConfig(
+            data=DirectoryData(path=str(dataset_dir), meta=DatasetMeta("custom", 2, 3, 64)),
+            strategy="source", seeds=(0,), pretrain_epochs=1,
+            encoder={"filters": [4, 6, 6]}, output_dir=str(wanted),
+        )
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(config.to_dict()))
+        monkeypatch.chdir(tmp_path)
+        assert main(["adapt", "--config", str(path)]) == 0
+        assert (wanted / "summary.json").is_file()
+        assert not (tmp_path / "runs").exists()
+        assert f"summary written to {wanted}" in capsys.readouterr().out
+
     def test_config_file_with_unknown_key_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "experiment.json"
         path.write_text(json.dumps({"accup": {"ensemble_mode": "fixed"}}))
