@@ -27,8 +27,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BNState, Tensor
-from .config import Record
-from .errors import ConfigurationError, ConformanceError, ContractError, LabelRangeError
+from .config import Record, read_json_object
+from .errors import (
+    ConfigurationError,
+    ConformanceError,
+    ContractError,
+    FormatError,
+    LabelRangeError,
+    TsadaptError,
+)
 
 BN_MODES = ("train-stats", "running-stats")
 
@@ -258,23 +265,31 @@ def predict(model: Model, x, bn_mode: str = "running-stats") -> np.ndarray:
 # snapshots: binary tensors plus a JSON sidecar with the architecture
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Sidecar(Record):
+    """The `<snapshot>.json` file that describes a snapshot's architecture."""
+
+    encoder: EncoderConfig
+    n_classes: int
+
+
 def save_model(path, model: Model) -> None:
     tensors = dict(model.named_parameters())
     tensors.update(model.named_buffers())
     ad.save_tensors(path, tensors)
-    sidecar = {
-        "encoder": model.config.to_dict(),
-        "n_classes": model.n_classes,
-    }
+    sidecar = _Sidecar(model.config, model.n_classes)
     with open(f"{path}.json", "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
+        json.dump(sidecar.to_dict(), f, indent=2, sort_keys=True)
 
 
 def load_model(path) -> Model:
-    with open(f"{path}.json") as f:
-        sidecar = json.load(f)
-    config = EncoderConfig.from_dict(sidecar["encoder"])
-    model = Model(config, int(sidecar["n_classes"]))
+    """Rebuild a snapshot; a malformed sidecar raises FormatError naming it."""
+    d = read_json_object(f"{path}.json")
+    try:
+        sidecar = _Sidecar.from_dict(d)
+        model = Model(sidecar.encoder, sidecar.n_classes)
+    except TsadaptError as err:
+        raise FormatError(f"{path}.json: {err}") from None
     tensors = ad.load_tensors(path)
     for name, param in model.named_parameters().items():
         if name not in tensors:

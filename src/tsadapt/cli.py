@@ -126,11 +126,10 @@ def _parse_json_items(flag: str, text: str) -> list:
 
 
 def _experiment_from_args(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_json_file(args.config)
-    else:
-        config = ExperimentConfig(data=DirectoryData(path=args.data, meta=load_meta(args.data)))
+    config = ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
     overrides = {}
+    if args.data is not None:
+        overrides["data"] = DirectoryData(path=args.data, meta=load_meta(args.data))
     if args.strategy is not None:
         overrides["strategy"] = args.strategy
     if args.seeds is not None:
@@ -163,7 +162,7 @@ def cmd_adapt(args) -> int:
 def cmd_sweep(args) -> int:
     config = _experiment_from_args(args)
     values = _parse_json_items("--values", args.values)
-    rows = run_sweep(config, args.param, values, workers=args.workers)
+    rows = run_sweep(config, args.param, values)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"sweep_{args.param}.json", "w") as f:
@@ -246,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         if extra:
             p.add_argument("--param", required=True, help="AccupConfig field to sweep")
             p.add_argument("--values", required=True, help="comma-separated JSON values")
-            p.add_argument("--workers", type=int, default=1)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("report", help="print aggregated results of summary files")

@@ -14,11 +14,13 @@ against the hints, strictly:
 
 An unknown key or a wrong-typed value raises ConfigurationError naming the
 dotted path of the key, such as `accup.augment.knots`. Range checks stay in
-each class's `__post_init__`.
+each class's `__post_init__`. `read_json_object` reads the object a config
+file or a sidecar holds.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import types
 import typing
@@ -26,7 +28,7 @@ from dataclasses import MISSING, fields
 from numbers import Integral, Real
 from typing import ClassVar
 
-from .errors import ConfigurationError, TsadaptError
+from .errors import ConfigurationError, FormatError, TsadaptError
 
 
 class Record:
@@ -46,6 +48,19 @@ class Record:
         """Build an instance from its JSON form, checking every value; `path`
         is the dotted key the object sits under, for error messages."""
         return _decode_record(cls, d, path)
+
+
+def read_json_object(path, error: type[TsadaptError] = FormatError) -> dict:
+    """The JSON object held by the file at path; malformed JSON, or JSON
+    that is not an object, raises `error` naming the file."""
+    with open(path) as f:
+        try:
+            d = json.load(f)
+        except ValueError as err:
+            raise error(f"{path}: malformed JSON: {err}") from None
+    if not isinstance(d, dict):
+        raise error(f"{path}: expected a JSON object, got {type(d).__name__}")
+    return d
 
 
 def _join(path: str, key) -> str:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Record
+from .config import Record, read_json_object
 from .errors import (
     ConfigurationError,
     ConformanceError,
@@ -93,13 +93,28 @@ def _record_dtype(cin: int, length: int) -> np.dtype:
         raise FormatError(f"record shape ({cin}, {length}) is too large") from None
 
 
-def save_split(path, batch: TimeSeriesBatch, n_classes: int) -> None:
-    """Write one labeled split in the binary container format."""
+def _check_values(where, values: np.ndarray, dtype) -> None:
+    """Raise FormatError naming `where` and the first record holding a value
+    that is NaN, infinite or too large for dtype."""
+    bad = ~(np.abs(values) <= np.finfo(dtype).max)
+    if bad.any():
+        raise FormatError(f"{where}: record {np.nonzero(bad)[0][0]} holds a value that "
+                          f"is not a finite {np.dtype(dtype).name}")
+
+
+def _check_split(where, batch: TimeSeriesBatch, n_classes: int) -> None:
     if batch.labels is None:
         raise ContractError("container splits must be labeled")
-    b, cin, length = batch.values.shape
     if batch.labels.min(initial=0) < 0 or batch.labels.max(initial=0) >= n_classes:
         raise LabelRangeError(f"labels must lie in 0..{n_classes - 1}")
+    _check_values(where, batch.values, np.float32)
+
+
+def save_split(path, batch: TimeSeriesBatch, n_classes: int) -> None:
+    """Write one labeled split in the binary container format; every value
+    must be a finite float32."""
+    _check_split(path, batch, n_classes)
+    b, cin, length = batch.values.shape
     records = np.empty(b, dtype=_record_dtype(cin, length))
     records["label"] = batch.labels
     records["values"] = batch.values
@@ -136,6 +151,7 @@ def load_split(path, meta: DatasetMeta | None = None) -> TimeSeriesBatch:
         block = take(f, n * (4 + 4 * cin * length), f"{n} records")
         records = np.frombuffer(block, dtype=_record_dtype(cin, length))
     values = np.ascontiguousarray(records["values"], dtype=np.float64)
+    _check_values(path, values, np.float32)
     labels = records["label"].astype(np.intp)
     if n and (labels.min() < 0 or labels.max() >= n_classes):
         raise LabelRangeError(
@@ -150,6 +166,7 @@ def load_csv_split(path, meta: DatasetMeta) -> TimeSeriesBatch:
         table = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as err:
         raise FormatError(f"malformed CSV split: {err}") from None
+    _check_values(path, table, np.float64)
     expected = 1 + meta.channels * meta.length
     if table.shape[1] != expected:
         raise ConformanceError(
@@ -169,8 +186,11 @@ def load_csv_split(path, meta: DatasetMeta) -> TimeSeriesBatch:
 
 def save_dataset(directory, train: TimeSeriesBatch, test: TimeSeriesBatch,
                  meta: DatasetMeta) -> None:
-    """Write both splits plus the directory's meta.json (see load_meta)."""
+    """Write both splits plus the directory's meta.json (see load_meta).
+    Both splits are checked before anything is written."""
     d = Path(directory)
+    _check_split(d / "train.ttsd", train, meta.classes)
+    _check_split(d / "test.ttsd", test, meta.classes)
     d.mkdir(parents=True, exist_ok=True)
     save_split(d / "train.ttsd", train, meta.classes)
     save_split(d / "test.ttsd", test, meta.classes)
@@ -179,9 +199,9 @@ def save_dataset(directory, train: TimeSeriesBatch, test: TimeSeriesBatch,
 
 
 def load_meta(directory) -> DatasetMeta:
-    """Read the DatasetMeta that save_dataset wrote into a directory."""
-    with open(Path(directory) / "meta.json") as f:
-        m = json.load(f)
+    """Read the DatasetMeta that save_dataset wrote into a directory; a
+    meta.json that is not a JSON object raises FormatError."""
+    m = read_json_object(Path(directory) / "meta.json")
     return DatasetMeta.from_dict({"name": "custom", **m})
 
 

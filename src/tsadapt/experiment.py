@@ -4,7 +4,7 @@ An experiment loads its splits once, pretrains (or loads) a source model per
 seed, replays the target stream once per seed under the chosen strategy with
 `adapt.run_stream`, and writes a JSON summary plus a CSV with one row per
 (scenario, strategy, seed). Runs are scored by `run_stream`; the summary
-aggregates those scores.
+aggregates those scores. A sweep streams every value over one such set-up.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .backbone import EncoderConfig, Model, load_model, pretrain_source, save_mo
 from .baselines import KINDS as BASELINE_KINDS
 from .baselines import StrategyConfig
 from .data import DatasetMeta, ShiftSpec, generate_shifted_pair, load_dataset, make_stream
-from .config import Record
+from .config import Record, read_json_object
 from .errors import ConfigurationError, ConformanceError, TsadaptError
 from .metrics import aggregate_reports
 
@@ -142,12 +141,7 @@ class ExperimentConfig(Record):
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path) as f:
-            try:
-                d = json.load(f)
-            except json.JSONDecodeError as err:
-                raise ConfigurationError(f"{path}: malformed JSON: {err}") from None
-        return cls.from_dict(d)
+        return cls.from_dict(read_json_object(path, ConfigurationError))
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -174,8 +168,7 @@ def _load_splits(config: ExperimentConfig):
     return load_dataset(config.data.path, config.data.meta)
 
 
-def _build_model(config: ExperimentConfig, train, n_classes: int, seed: int,
-                 epoch_losses=None) -> Model:
+def _build_model(config: ExperimentConfig, train, n_classes: int, seed: int) -> Model:
     if config.model_path is not None:
         model = load_model(config.model_path)
         if model.n_classes != n_classes:
@@ -190,8 +183,39 @@ def _build_model(config: ExperimentConfig, train, n_classes: int, seed: int,
     return pretrain_source(
         model, train.values, train.labels,
         epochs=config.pretrain_epochs, batch_size=config.pretrain_batch,
-        lr=config.pretrain_lr, seed=seed, epoch_losses=epoch_losses,
+        lr=config.pretrain_lr, seed=seed,
     )
+
+
+def _stream_seeds(config: ExperimentConfig, accups: list) -> tuple:
+    """Stream every seed of config once per AccupConfig in accups, over one
+    set-up: the splits, the stream and one model per seed (pretrained or
+    loaded once). `run_stream` adapts a clone, so sharing the models is exact.
+
+    Returns ([(MacroF1Report, RunRecords)] per AccupConfig, models).
+    """
+    n_classes = (
+        config.data.source.n_classes
+        if isinstance(config.data, SyntheticData)
+        else config.data.meta.classes
+    )
+    results = []
+    try:
+        train, target = _load_splits(config)
+        stream = make_stream(target, config.batch_size)
+        models = [_build_model(config, train, n_classes, seed) for seed in config.seeds]
+        for accup in accups:
+            entry = replace(config, accup=accup)
+            strategy = (accup if config.strategy == "accup"
+                        else StrategyConfig(config.strategy, lr=config.baseline_lr))
+            records = [run_stream(model, stream, strategy, seed=seed,
+                                  layer_mask=config.layer_mask, config_hash=config_hash(entry))
+                       for model, seed in zip(models, config.seeds)]
+            reports = [rec.report for rec in records if rec.report is not None]
+            results.append((aggregate_reports(reports) if reports else None, records))
+    except TsadaptError as err:
+        raise type(err)(f"scenario {config.scenario!r} ({config.strategy}): {err}") from err
+    return results, models
 
 
 def run_experiment(config: ExperimentConfig, write: bool = True):
@@ -202,28 +226,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True):
     saves after pretraining). Returns (MacroF1Report, list of RunRecords).
     """
     start = time.perf_counter()
-    chash = config_hash(config)
-    n_classes = (
-        config.data.source.n_classes
-        if isinstance(config.data, SyntheticData)
-        else config.data.meta.classes
-    )
-    records, models = [], []
-    try:
-        strategy = (config.accup if config.strategy == "accup"
-                    else StrategyConfig(config.strategy, lr=config.baseline_lr))
-        train, target = _load_splits(config)
-        stream = make_stream(target, config.batch_size)
-        for seed in config.seeds:
-            model = _build_model(config, train, n_classes, seed)
-            records.append(run_stream(model, stream, strategy, seed=seed,
-                                      layer_mask=config.layer_mask, config_hash=chash))
-            models.append(model)
-    except TsadaptError as err:
-        raise type(err)(f"scenario {config.scenario!r} ({config.strategy}): {err}") from err
-
-    reports = [rec.report for rec in records if rec.report is not None]
-    report = aggregate_reports(reports) if reports else None
+    [(report, records)], models = _stream_seeds(config, [config.accup])
 
     if write:
         out = Path(config.output_dir)
@@ -238,7 +241,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True):
                 snapshots[str(seed)] = file_sha256(path)
         summary = {
             "config": config.to_dict(),
-            "config_hash": chash,
+            "config_hash": config_hash(config),
             "model_snapshots": snapshots,
             "report": None if report is None else report.to_dict(),
             "records": [rec.to_dict() for rec in records],
@@ -262,29 +265,20 @@ def run_experiment(config: ExperimentConfig, write: bool = True):
     return report, records
 
 
-def _sweep_entry(args):
-    config, param, value = args
-    report, _ = run_experiment(config, write=False)
-    return {
-        "param": param,
-        "value": value,
-        "mean": None if report is None else report.mean,
-        "std": None if report is None else report.std,
-    }
-
-
-def run_sweep(config: ExperimentConfig, param: str, values, workers: int = 1) -> list:
-    """Grid over one AccupConfig field; entries run in a process pool.
+def run_sweep(config: ExperimentConfig, param: str, values) -> list:
+    """Grid over one AccupConfig field: each seed is pretrained once and
+    every value streams against those models.
 
     Every value is read through the config codec before any entry runs, so
     an unknown field or a wrong-typed value raises ConfigurationError first.
     """
+    values = list(values)
+    if not values:
+        return []
     base = config.accup.to_dict()
-    jobs = [(replace(config, accup=AccupConfig.from_dict({**base, param: v})), param, v)
-            for v in values]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_entry, jobs))
-    else:
-        rows = [_sweep_entry(j) for j in jobs]
-    return rows
+    results, _ = _stream_seeds(
+        config, [AccupConfig.from_dict({**base, param: v}) for v in values])
+    return [{"param": param, "value": v,
+             "mean": None if report is None else report.mean,
+             "std": None if report is None else report.std}
+            for v, (report, _) in zip(values, results)]

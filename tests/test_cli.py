@@ -1,9 +1,11 @@
 """Command-line surface: subcommands, flags, and exit codes."""
 
 import json
+import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tsadapt.cli import main
@@ -49,6 +51,15 @@ class TestGenerateData:
         assert main(["generate-data", "--out", str(out), "--n-source", "8",
                      "--n-target", "8", flag, value]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_values_beyond_float32_are_exit_3(self, tmp_path, capsys):
+        # the float32 cast used to write a directory of infs and exit 0
+        out = tmp_path / "data"
+        assert main(["generate-data", "--out", str(out), "--n-source", "8",
+                     "--n-target", "8", "--base-amplitude", "1e39"]) == 3
+        assert "train.ttsd: record 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -286,6 +297,63 @@ class TestAdapt:
         path.write_text(text)
         assert main(["adapt", "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+
+    def test_data_overrides_the_config_file(self, dataset_dir, tmp_path):
+        # --data used to be ignored whenever --config was given
+        config = ExperimentConfig(strategy="source", seeds=(0,), pretrain_epochs=1,
+                                  encoder={"filters": [4, 6, 6]})
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(config.to_dict()))
+        out = tmp_path / "runs"
+        assert main(["adapt", "--config", str(path), "--data", str(dataset_dir),
+                     "--out", str(out)]) == 0
+        data = json.loads((out / "summary.json").read_text())["config"]["data"]
+        assert data["kind"] == "directory" and data["path"] == str(dataset_dir)
+        assert main(["adapt", "--config", str(path), "--data", str(tmp_path / "none"),
+                     "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_split_is_exit_3(self, dataset_dir, tmp_path, capsys, bad):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        blob = bytearray((data / "test.ttsd").read_bytes())
+        # header 28 bytes, then records of one i4 label and 2*64 f4 values
+        offset = 28 + 3 * (4 + 4 * 128) + 4
+        blob[offset:offset + 4] = np.float32(bad).tobytes()
+        (data / "test.ttsd").write_bytes(bytes(blob))
+        assert main(["adapt", "--data", str(data), "--out", str(tmp_path / "x"),
+                     "--strategy", "source", "--seeds", "0", "--epochs", "1"]) == 3
+        assert "test.ttsd: record 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, sidecar, text", [
+        ("adapt", "meta.json", '{"channels": 2, "clas'),
+        ("adapt", "meta.json", "[1, 2]"),
+        ("pretrain", "meta.json", '{"channels": 2, "clas'),
+        ("pretrain", "meta.json", "[1, 2]"),
+        ("adapt", "model.ttaw.json", '{"encoder": {"in_ch'),
+        ("adapt", "model.ttaw.json", "{}"),
+    ], ids=["adapt-truncated-meta", "adapt-list-meta", "pretrain-truncated-meta",
+            "pretrain-list-meta", "truncated-model-sidecar", "empty-model-sidecar"])
+    def test_malformed_sidecar_is_exit_3(self, dataset_dir, tmp_path, capsys,
+                                         command, sidecar, text):
+        # these used to end in a JSONDecodeError, TypeError or KeyError traceback
+        from tsadapt.backbone import EncoderConfig, Model, save_model
+
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        model = tmp_path / "model.ttaw"
+        save_model(model, Model(EncoderConfig(in_channels=2, filters=(4, 6, 6)), 3))
+        bad = (data if sidecar == "meta.json" else tmp_path) / sidecar
+        bad.write_text(text)
+        argv = {"adapt": ["adapt", "--data", str(data), "--out", str(tmp_path / "x"),
+                          "--strategy", "source", "--seeds", "0", "--epochs", "1"],
+                "pretrain": ["pretrain", "--data", str(data), "--epochs", "1",
+                             "--out", str(tmp_path / "m.ttaw")]}[command]
+        if sidecar != "meta.json":
+            argv += ["--model", str(model)]
+        assert main(argv) == 3
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestSweep:

@@ -142,6 +142,32 @@ class TestContainer:
         np.testing.assert_array_equal(loaded_train.values, train.values)
         np.testing.assert_array_equal(loaded_test.labels, test.labels)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e39],
+                             ids=["nan", "inf", "float32-overflow"])
+    def test_values_that_are_not_finite_float32_are_never_written(self, tmp_path, bad):
+        rng = np.random.default_rng(4)
+        train, test = small_batch(rng, 12), small_batch(rng, 8)
+        test.values[5, 1, 3] = bad
+        with pytest.raises(FormatError, match=r"test\.ttsd: record 5 .* finite float32"):
+            save_dataset(tmp_path / "ds", train, test, DatasetMeta("custom", 2, 3, 16))
+        assert not (tmp_path / "ds").exists()
+        with pytest.raises(FormatError, match="record 5"):
+            save_split(tmp_path / "test.ttsd", test, n_classes=3)
+        assert not (tmp_path / "test.ttsd").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_record_is_rejected_on_read(self, tmp_path, bad):
+        batch = small_batch(np.random.default_rng(1), n=4)
+        path = tmp_path / "split.ttsd"
+        save_split(path, batch, n_classes=3)
+        blob = bytearray(path.read_bytes())
+        # header 28 bytes, then records of one i4 label and 2*16 f4 values
+        offset = 28 + 2 * (4 + 4 * 32) + 4 + 4 * 7
+        blob[offset:offset + 4] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"split\.ttsd: record 2 .* not a finite"):
+            load_split(path)
+
     def test_missing_split_is_a_format_error(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(FormatError):
@@ -170,6 +196,13 @@ class TestCsvImport:
         path = tmp_path / "train.csv"
         path.write_text("5," + ",".join(["0.0"] * 8) + "\n")
         with pytest.raises(LabelRangeError):
+            load_csv_split(path, DatasetMeta("custom", 2, 3, 4))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_value_is_rejected(self, tmp_path, bad):
+        path = tmp_path / "train.csv"
+        path.write_text("0,1,2,3,4,5,6,7,8\n1,1,2,3," + bad + ",5,6,7,8\n")
+        with pytest.raises(FormatError, match=r"train\.csv: record 1 .* not a finite"):
             load_csv_split(path, DatasetMeta("custom", 2, 3, 4))
 
 

@@ -302,11 +302,27 @@ class TestSweep:
         for k in (1, 5, 10, 20, 50, 100, 200, 500):
             replace(config.accup, k_support=k)
 
-    def test_worker_pool(self, tmp_path):
-        config = tiny_experiment(tmp_path)
-        rows = run_sweep(config, "k_support", [1, 5], workers=2)
-        sequential = run_sweep(config, "k_support", [1, 5], workers=1)
-        assert [r["mean"] for r in rows] == [r["mean"] for r in sequential]
+    def test_rows_equal_separate_experiments_bitwise(self, tmp_path):
+        config = tiny_experiment(tmp_path, seeds=(0, 1))
+        values = [1, 5, 10]
+        rows = run_sweep(config, "k_support", values)
+        for row, k in zip(rows, values):
+            alone, _ = run_experiment(
+                replace(config, accup=replace(config.accup, k_support=k)), write=False)
+            assert row["mean"].hex() == alone.mean.hex()
+            assert row["std"].hex() == alone.std.hex()
+
+    def test_each_seed_is_pretrained_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return pretrain_source(*args, **kwargs)
+
+        pretrain_source = experiment.pretrain_source
+        monkeypatch.setattr(experiment, "pretrain_source", counting)
+        run_sweep(tiny_experiment(tmp_path, seeds=(0, 1)), "k_support", [1, 5, 10])
+        assert calls == [0, 1]
 
     def test_unknown_parameter(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -314,12 +330,12 @@ class TestSweep:
 
     def test_bad_value_fails_before_any_entry_runs(self, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):
-            raise AssertionError("a sweep entry or pool started")
+            raise AssertionError("a sweep entry started pretraining or streaming")
 
-        monkeypatch.setattr(experiment, "run_experiment", must_not_run)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", must_not_run)
+        monkeypatch.setattr(experiment, "pretrain_source", must_not_run)
+        monkeypatch.setattr(experiment, "run_stream", must_not_run)
         config = tiny_experiment(tmp_path)
         for param, values in (("eta", [20.0, "x"]), ("augment", [{"kind": "jitter"}, 3]),
                               ("use_contrast", [True, "false"]), ("k_support", [5, 2.5])):
             with pytest.raises(ConfigurationError, match=param):
-                run_sweep(config, param, values, workers=2)
+                run_sweep(config, param, values)
