@@ -1,6 +1,6 @@
 """Streaming test-time adaptation for 1D-CNN time-series classifiers.
 
-The package is organized around a small float64 autodiff engine
+The package is organized around a small float32/float64 autodiff engine
 (`tsadapt.autodiff`), a three-block convolutional backbone
 (`tsadapt.backbone`), time-series augmentations (`tsadapt.augment`), the
 adaptation math (`tsadapt.accup`), the single-pass streaming loop shared by

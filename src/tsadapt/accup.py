@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .augment import AugmentSpec
-from .config import Record
+from .config import Dtype, Record, check_dtype
 from .errors import ConfigurationError, ContractError, NumericDomainError
 
 
@@ -121,12 +121,13 @@ def prototype_logits(features, prototypes: np.ndarray, eta: float) -> Tensor:
     """Softmax over classes of eta * cos(feature, prototype), for (C, F) prototypes.
 
     Zero-norm features or prototypes give cosine 0 for the affected pairs.
-    Prototypes are constants; gradients flow only through the features.
+    Prototypes are constants in the features' dtype; gradients flow only
+    through the features.
     """
     if eta <= 0:
         raise ConfigurationError(f"prototype scale must be > 0, got {eta}")
     f = features if isinstance(features, Tensor) else Tensor(features)
-    cos = ad.cosine_pairs(f, Tensor(prototypes))
+    cos = ad.cosine_pairs(f, Tensor(np.asarray(prototypes, dtype=f.data.dtype)))
     return ad.softmax(ad.scalar_mul(cos, float(eta)))
 
 
@@ -146,8 +147,9 @@ def ensemble(f_raw, p_raw, f_aug, p_aug, w=0.5):
 def entropy_compare(p_ens, h_ens, p_proto, h_proto):
     """Per row, keep the lower-entropy prediction; ties go to the prototype row.
 
-    Returns (p_out, pseudo_labels). The selection mask is a constant, so
-    gradients flow through whichever branch each row selected.
+    Returns (p_out, pseudo_labels). The selection mask is a constant in the
+    predictions' dtype, so gradients flow through whichever branch each row
+    selected.
     """
     pe = p_ens if isinstance(p_ens, Tensor) else Tensor(p_ens)
     pp = p_proto if isinstance(p_proto, Tensor) else Tensor(p_proto)
@@ -155,7 +157,7 @@ def entropy_compare(p_ens, h_ens, p_proto, h_proto):
     h_proto = np.asarray(h_proto, dtype=np.float64)
     if pe.shape != pp.shape or h_ens.shape != h_proto.shape or len(h_ens) != pe.shape[0]:
         raise ContractError("entropy comparison rows have mismatched shapes")
-    take_ens = (h_ens < h_proto).astype(np.float64)[:, None]
+    take_ens = (h_ens < h_proto).astype(pe.data.dtype)[:, None]
     mask = np.broadcast_to(take_ens, pe.shape).copy()
     p_out = ad.add(ad.mul(pe, Tensor(mask)), ad.mul(pp, Tensor(1.0 - mask)))
     return p_out, p_out.data.argmax(axis=1)
@@ -169,7 +171,8 @@ def contrastive_loss(view_logits, pseudo_labels, tau: float) -> Tensor:
         -(1/|pos(i)|) * sum_{j in pos(i)} [ cos(p_i, p_j)/tau
                                             - log sum_{k in neg(i)} exp(cos(p_i, p_k)/tau) ];
     the denominator runs over negatives only. Anchors with no positives or no
-    negatives contribute 0. Returns the sum over anchors.
+    negatives contribute 0. Returns the sum over anchors. The masks, weights
+    and pad are constants in the logits' dtype.
     """
     if tau <= 0:
         raise ConfigurationError(f"temperature must be > 0, got {tau}")
@@ -186,15 +189,16 @@ def contrastive_loss(view_logits, pseudo_labels, tau: float) -> Tensor:
     neg_count = neg.sum(axis=1)
     valid = (pos_count > 0) & (neg_count > 0)
 
+    dtype = p.data.dtype
     sims = ad.cosine_pairs(p, p)
     scaled = ad.exp(ad.scalar_mul(sims, 1.0 / tau))
-    denom = ad.tensor_sum(ad.mul(scaled, Tensor(neg.astype(np.float64))), axis=-1)
+    denom = ad.tensor_sum(ad.mul(scaled, Tensor(neg.astype(dtype))), axis=-1)
     # invalid anchors get a +1 pad so the log is finite before being masked out
-    pad = Tensor(np.where(valid, 0.0, 1.0))
+    pad = Tensor((~valid).astype(dtype))
     log_denom = ad.log(ad.add(denom, pad))
-    denom_term = ad.tensor_sum(ad.mul(log_denom, Tensor(valid.astype(np.float64))))
+    denom_term = ad.tensor_sum(ad.mul(log_denom, Tensor(valid.astype(dtype))))
 
-    weights = np.zeros((n, n))
+    weights = np.zeros((n, n), dtype)
     weights[valid] = pos[valid] / (tau * pos_count[valid, None])
     pos_term = ad.tensor_sum(ad.mul(sims, Tensor(weights)))
     return ad.sub(denom_term, pos_term)
@@ -208,7 +212,8 @@ class AccupConfig(Record):
     logit sharpness and the contrastive temperature. ensemble_weight is the
     fixed raw-view weight of the two-view ensemble.
     bn_policy "batch" normalizes adaptation forwards with current-batch
-    statistics; "running" freezes the pretrained statistics.
+    statistics; "running" freezes the pretrained statistics. dtype is the
+    compute dtype of the run (see `adapt.AdaptState`).
     """
 
     k_support: int = 10
@@ -222,6 +227,7 @@ class AccupConfig(Record):
     use_contrast: bool = True
     lr: float = 3e-4
     bn_policy: str = "batch"  # batch | running
+    dtype: Dtype = "float64"
 
     def __post_init__(self):
         if not isinstance(self.k_support, Integral) or self.k_support < 1:
@@ -239,3 +245,4 @@ class AccupConfig(Record):
             raise ConfigurationError(f"lr must be finite and >= 0, got {self.lr}")
         if self.bn_policy not in ("batch", "running"):
             raise ConfigurationError(f"unknown bn policy {self.bn_policy!r}")
+        check_dtype(self.dtype)

@@ -88,11 +88,14 @@ class AdaptState:
     ACCUP optimizes the encoder blocks the layer mask selects and keeps a
     support set; tent and pseudo-label optimize the BN affine parameters;
     source and bn-stats hold an Adam over no parameters. The classifier is
-    never trainable.
+    never trainable. A model whose dtype is not the config's is swapped for
+    a converted copy, so the caller's model is then never touched.
     """
 
     def __init__(self, model: Model, config: AccupConfig | StrategyConfig,
                  layer_mask: LayerMask | None = None, seed: int = 0):
+        if model.dtype != config.dtype:
+            model = model.clone(config.dtype)
         self.model = model
         self.config = config
         self.layer_mask = layer_mask or LayerMask()
@@ -192,7 +195,9 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
     Returns (predictions, loss value, state). A batch with no rows raises
     DegenerateBatchError for every strategy. A step that raises leaves the
     shared tape empty, and a NumericDomainError names the stream step
-    ("step N: exp: ...").
+    ("step N: exp: ..."). The batch and its augmented view are cast to the
+    config's dtype once; augmentation runs on the batch as given, so its
+    random draws do not depend on the dtype.
     """
     if not isinstance(values, np.ndarray):
         raise ContractError(
@@ -201,12 +206,15 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
     if values.shape[:1] == (0,):
         raise DegenerateBatchError(f"step {state.step}: empty batch, need at least one row")
     cfg = state.config
+    x = values.astype(cfg.dtype, copy=False)
     with ad.active_graph().guard(f"step {state.step}"):
         if isinstance(cfg, StrategyConfig):
-            preds, loss = baseline_adapt_batch(state, values)
+            preds, loss = baseline_adapt_batch(state, x)
         else:
-            x_aug = apply_augment(values, cfg.augment, state.rng) if cfg.use_augmentation else None
-            preds, loss = accup_batch(state.model, values, x_aug, cfg, support=state.support)
+            x_aug = None
+            if cfg.use_augmentation:
+                x_aug = apply_augment(values, cfg.augment, state.rng).astype(cfg.dtype, copy=False)
+            preds, loss = accup_batch(state.model, x, x_aug, cfg, support=state.support)
         loss_value = 0.0
         if loss is not None:
             state.optimizer.zero_grad()

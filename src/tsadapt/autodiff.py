@@ -1,7 +1,11 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float tensors with tape-based reverse-mode differentiation.
 
 Conventions:
-  * double precision everywhere; every op output is checked for finiteness
+  * one dtype per graph: a Tensor keeps a float32 array as float32 and makes
+    anything else float64; an op computes in its inputs' dtype, allocates
+    its buffers and gradients in it, and raises ConformanceError when handed
+    inputs of both dtypes, so a dtype leak fails loudly instead of upcasting
+  * every op output is checked for finiteness
   * conv1d uses the cross-correlation convention (no kernel flip)
   * softmax subtracts the row max before exponentiating
   * the tape records primitive applications in execution order and is
@@ -62,7 +66,9 @@ from .errors import (
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient accumulator.
+    """A dense float32 or float64 array plus an optional gradient accumulator.
+
+    A float32 array stays float32; anything else becomes float64.
 
     A leaf made with requires_grad=True keeps a zero-filled `grad` buffer for
     its whole life (the optimizer reads it). An op output starts with
@@ -74,7 +80,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.array(data, dtype=np.float64)
+        float32 = getattr(data, "dtype", None) == np.float32
+        arr = np.array(data, dtype=np.float32 if float32 else np.float64)
         if arr.size and not np.all(np.isfinite(arr)):
             raise NumericDomainError("tensor values must be finite")
         self.data = arr
@@ -172,7 +179,11 @@ def no_grad():
 
 
 def _emit(op: str, inputs: tuple, out_data: np.ndarray, bwd) -> Tensor:
-    out_data = np.asarray(out_data, dtype=np.float64)
+    out_data = np.asarray(out_data)
+    if any(t.data.dtype != out_data.dtype for t in inputs):
+        raise ConformanceError(
+            f"{op}: inputs of dtype {', '.join(t.data.dtype.name for t in inputs)} "
+            f"gave a {out_data.dtype.name} result; an op takes one dtype")
     if out_data.size and not np.all(np.isfinite(out_data)):
         raise NumericDomainError(f"{op}: result contains non-finite values")
     out = Tensor.__new__(Tensor)
@@ -230,7 +241,7 @@ def backward(loss: Tensor) -> None:
         # adds into it in place
         for t in adopted:
             if t.grad is not None:
-                t.grad = np.array(t.grad, dtype=np.float64)
+                t.grad = np.array(t.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +467,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             taps.append((j, t0, t1, slice(off + stride * t0, off + stride * (t1 - 1) + 1, stride)))
     # channel-first columns (B, Cin*k, Lout), so that the product is a
     # C-contiguous (B, Cout, Lout); they are freed before _emit allocates
-    cols = np.zeros((bsz, cin, k, lout)) if padding else np.empty((bsz, cin, k, lout))
+    dtype = x.data.dtype
+    cols = (np.zeros if padding else np.empty)((bsz, cin, k, lout), dtype)
     for j, t0, t1, src in taps:
         cols[:, :, j, t0:t1] = x.data[:, :, src]
     out = w.data.reshape(cout, cin * k) @ cols.reshape(bsz, cin * k, lout)
@@ -464,13 +476,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     out += b.data[:, None]
 
     def bwd(g):
-        dw = np.zeros((cout, cin, k))
+        dw = np.zeros((cout, cin, k), dtype)
         for j, t0, t1, src in taps:
             dw[:, :, j] = (g[:, :, t0:t1] @ x.data[:, :, src].transpose(0, 2, 1)).sum(axis=0)
         if not x.requires_grad:  # e.g. the encoder's input batch
             return None, dw, g.sum(axis=(0, 2))
-        dx = np.zeros((bsz, cin, length))
-        dtap = np.empty((bsz, cin, lout))
+        dx = np.zeros((bsz, cin, length), dtype)
+        dtap = np.empty((bsz, cin, lout), dtype)
         for j, t0, t1, src in taps:
             np.matmul(w.data[:, :, j].T, g, out=dtap)
             dx[:, :, src] += dtap[:, :, t0:t1]
@@ -480,7 +492,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
 
 class BNState:
-    """Running statistics of one batch-norm layer (one value per channel)."""
+    """Running statistics of one batch-norm layer (one float64 value per channel)."""
 
     __slots__ = ("running_mean", "running_var", "momentum")
 
@@ -508,7 +520,9 @@ def batch_norm1d(
 
     train-stats normalizes with current batch statistics and folds them into
     the running estimates (momentum update, unbiased variance); running-stats
-    normalizes with the stored estimates and mutates nothing.
+    normalizes with the stored estimates and mutates nothing. The running
+    estimates stay float64 whatever x's dtype; running-stats normalizes with
+    a copy cast to x's dtype.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 3 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
@@ -533,8 +547,8 @@ def batch_norm1d(
         state.running_mean = (1.0 - mom) * state.running_mean + mom * mu
         state.running_var = (1.0 - mom) * state.running_var + mom * var * (m / (m - 1))
     else:
-        # copies: backward must see the statistics this forward used
-        mu, var = state.running_mean.copy(), state.running_var.copy()
+        # copies in x's dtype: backward must see the statistics this forward used
+        mu, var = state.running_mean.astype(x.data.dtype), state.running_var.astype(x.data.dtype)
         out = x.data - mu[None, :, None]
     inv = 1.0 / np.sqrt(var + eps)
     s = g_dat * inv
@@ -571,6 +585,7 @@ def max_pool1d(x: Tensor, width: int) -> Tensor:
             f"max_pool1d: pool width {width} does not fit length {length}"
         )
     lout = length // width
+    dtype = x.data.dtype
     view = x.data[:, :, : lout * width].reshape(bsz, ch, lout, width)
     # width - 1 compares over the window view; strict > keeps the first
     # maximum, as argmax would, and since j exceeds every index recorded so
@@ -584,7 +599,7 @@ def max_pool1d(x: Tensor, width: int) -> Tensor:
     def bwd(g):
         # each window slot is written once; only the dropped remainder is
         # zero-filled
-        dx = np.empty((bsz, ch, length))
+        dx = np.empty((bsz, ch, length), dtype)
         dview = dx[:, :, : lout * width].reshape(bsz, ch, lout, width)
         for j in range(width):
             np.multiply(g, arg == j, out=dview[..., j])

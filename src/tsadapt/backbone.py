@@ -142,30 +142,45 @@ class Model:
             bufs[f"enc.{i}.bn.rvar"] = blk.bn.running_var
         return bufs
 
-    def clone(self) -> "Model":
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter; BN running statistics stay float64."""
+        return self.cls_weight.data.dtype
+
+    def clone(self, dtype=None) -> "Model":
+        """A copy with its parameters in `dtype` (default: the model's own)."""
+        dtype = self.dtype if dtype is None else np.dtype(dtype)
+
+        def param(t):
+            return Tensor(t.data.astype(dtype, copy=False), requires_grad=True)
+
         other = Model.__new__(Model)
         other.config = self.config
         other.n_classes = self.n_classes
         other.blocks = [
             ConvBlock(
-                weight=Tensor(b.weight.data, requires_grad=True),
-                bias=Tensor(b.bias.data, requires_grad=True),
-                gamma=Tensor(b.gamma.data, requires_grad=True),
-                beta=Tensor(b.beta.data, requires_grad=True),
+                weight=param(b.weight),
+                bias=param(b.bias),
+                gamma=param(b.gamma),
+                beta=param(b.beta),
                 bn=b.bn.clone(),
             )
             for b in self.blocks
         ]
-        other.cls_weight = Tensor(self.cls_weight.data, requires_grad=True)
-        other.cls_bias = Tensor(self.cls_bias.data, requires_grad=True)
+        other.cls_weight = param(self.cls_weight)
+        other.cls_bias = param(self.cls_bias)
         return other
 
 
 def encode(model: Model, x, bn_mode: str = "running-stats") -> Tensor:
-    """Run the encoder on a (B, Cin, L) batch, returning (B, F) features."""
+    """Run the encoder on a (B, Cin, L) batch, returning (B, F) features.
+
+    An array batch is cast to the model's dtype; a Tensor batch must already
+    have it.
+    """
     if bn_mode not in BN_MODES:
         raise ContractError(f"unknown bn mode {bn_mode!r}")
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=model.dtype))
     if t.ndim != 3 or t.shape[1] != model.config.in_channels:
         raise ConformanceError(
             f"encode: input shape {t.shape} does not conform to "
@@ -196,7 +211,7 @@ def forward(model: Model, x, bn_mode: str = "running-stats"):
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of the given integer labels."""
     n, c = logits.shape
-    onehot = np.zeros((n, c))
+    onehot = np.zeros((n, c), logits.data.dtype)
     onehot[np.arange(n), labels] = 1.0
     picked = ad.mul(ad.log(ad.softmax(logits)), Tensor(onehot))
     return ad.scalar_mul(ad.tensor_sum(picked), -1.0 / n)

@@ -36,7 +36,7 @@ from .experiment import (
 
 def _add_accup_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(HYPERPARAM_PRESETS), default=None,
-                   help="load (K, eta, tau, lr) defaults for a dataset family")
+                   help="load (K, eta, tau, lr, dtype) defaults for a dataset family")
     p.add_argument("--ablation", choices=sorted(ABLATION_PRESETS), default=None,
                    help="disable one module")
     p.add_argument("--k-support", type=int, default=None)
@@ -255,6 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "data", None) == "":
+        # Path("") is the working directory, which no one means by it
+        print("error: --data is empty", file=sys.stderr)
+        return 2
     if getattr(args, "command", None) in ("adapt", "sweep") and not (args.config or args.data):
         print("error: either --config or --data is required", file=sys.stderr)
         return 2

@@ -200,9 +200,14 @@ def save_dataset(directory, train: TimeSeriesBatch, test: TimeSeriesBatch,
 
 def load_meta(directory) -> DatasetMeta:
     """Read the DatasetMeta that save_dataset wrote into a directory; a
-    meta.json that is not a JSON object raises FormatError."""
-    m = read_json_object(Path(directory) / "meta.json")
-    return DatasetMeta.from_dict({"name": "custom", **m})
+    meta.json that is not a JSON object, or has an unknown, missing or
+    wrong-typed key, raises FormatError naming the file."""
+    path = Path(directory) / "meta.json"
+    m = read_json_object(path)
+    try:
+        return DatasetMeta.from_dict({"name": "custom", **m})
+    except ConfigurationError as err:
+        raise FormatError(f"{path}: {err}") from None
 
 
 def load_dataset(directory, meta: DatasetMeta):

@@ -13,9 +13,12 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from .accup import AccupConfig
 from .adapt import LayerMask, run_stream
@@ -29,13 +32,15 @@ from .metrics import aggregate_reports
 
 STRATEGIES = ("accup",) + BASELINE_KINDS
 
-# (k_support, eta, tau, lr) defaults per dataset family; "synthetic" is tuned
-# for the bundled desk-scale generator scenario
+# (k_support, eta, tau, lr, dtype) defaults per dataset family; "synthetic"
+# is tuned for the bundled desk-scale generator scenario. The paper-scale
+# families compute in float32, which halves the bytes a memory-bound encoder
+# moves; the desk scale keeps float64.
 HYPERPARAM_PRESETS = {
-    "ucihar": {"k_support": 10, "eta": 20.0, "tau": 0.7, "lr": 3e-4},
-    "mfd": {"k_support": 100, "eta": 1.0, "tau": 0.6, "lr": 3e-4},
-    "ssc": {"k_support": 50, "eta": 50.0, "tau": 0.3, "lr": 1e-5},
-    "synthetic": {"k_support": 50, "eta": 20.0, "tau": 0.7, "lr": 2e-3},
+    "ucihar": {"k_support": 10, "eta": 20.0, "tau": 0.7, "lr": 3e-4, "dtype": "float32"},
+    "mfd": {"k_support": 100, "eta": 1.0, "tau": 0.6, "lr": 3e-4, "dtype": "float32"},
+    "ssc": {"k_support": 50, "eta": 50.0, "tau": 0.3, "lr": 1e-5, "dtype": "float32"},
+    "synthetic": {"k_support": 50, "eta": 20.0, "tau": 0.7, "lr": 2e-3, "dtype": "float64"},
 }
 
 # module switches of the four ablation presets
@@ -157,6 +162,32 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
+def _blas_info() -> dict:
+    """The BLAS numpy was built with and the threads it runs: results repeat
+    bitwise only at a fixed dtype and a fixed thread count. A field that
+    cannot be read is None."""
+    # imported here, out of the package's import time
+    import ctypes
+    import glob
+
+    info = {"name": None, "version": None, "threads": None}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        info.update(name=blas.get("name"), version=blas.get("version"))
+    except (KeyError, TypeError):
+        pass
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                info["threads"] = fn()
+                return info
+    return info
+
+
 def _load_splits(config: ExperimentConfig):
     if isinstance(config.data, SyntheticData):
         return generate_shifted_pair(
@@ -191,6 +222,8 @@ def _stream_seeds(config: ExperimentConfig, accups: list) -> tuple:
     """Stream every seed of config once per AccupConfig in accups, over one
     set-up: the splits, the stream and one model per seed (pretrained or
     loaded once). `run_stream` adapts a clone, so sharing the models is exact.
+    A baseline runs in the dtype of the AccupConfig, so that every strategy
+    of a table computes at one precision.
 
     Returns ([(MacroF1Report, RunRecords)] per AccupConfig, models).
     """
@@ -206,8 +239,8 @@ def _stream_seeds(config: ExperimentConfig, accups: list) -> tuple:
         models = [_build_model(config, train, n_classes, seed) for seed in config.seeds]
         for accup in accups:
             entry = replace(config, accup=accup)
-            strategy = (accup if config.strategy == "accup"
-                        else StrategyConfig(config.strategy, lr=config.baseline_lr))
+            strategy = (accup if config.strategy == "accup" else StrategyConfig(
+                config.strategy, lr=config.baseline_lr, dtype=accup.dtype))
             records = [run_stream(model, stream, strategy, seed=seed,
                                   layer_mask=config.layer_mask, config_hash=config_hash(entry))
                        for model, seed in zip(models, config.seeds)]
@@ -221,9 +254,10 @@ def _stream_seeds(config: ExperimentConfig, accups: list) -> tuple:
 def run_experiment(config: ExperimentConfig, write: bool = True):
     """Run every seed, aggregate mean and std, write summary files.
 
-    The summary embeds the resolved config and a content hash of every model
-    snapshot used (the loaded one, or the per-seed snapshots the experiment
-    saves after pretraining). Returns (MacroF1Report, list of RunRecords).
+    The summary embeds the resolved config (its dtype included), the BLAS
+    library and thread count, and a content hash of every model snapshot
+    used (the loaded one, or the per-seed snapshots the experiment saves
+    after pretraining). Returns (MacroF1Report, list of RunRecords).
     """
     start = time.perf_counter()
     [(report, records)], models = _stream_seeds(config, [config.accup])
@@ -240,6 +274,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True):
                 save_model(path, model)
                 snapshots[str(seed)] = file_sha256(path)
         summary = {
+            "blas": _blas_info(),
             "config": config.to_dict(),
             "config_hash": config_hash(config),
             "model_snapshots": snapshots,

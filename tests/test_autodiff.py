@@ -38,7 +38,13 @@ class TestTensor:
         assert t.grad is not None and t.grad.shape == t.data.shape
 
     def test_double_precision(self):
-        assert Tensor(np.float32([1.5])).data.dtype == np.float64
+        # float64 is the default: every input that is not a float32 array
+        for data in ([1.5], np.float16([1.5]), np.int32([1]), 2.0):
+            assert Tensor(data).data.dtype == np.float64
+
+    def test_float32_stays_float32(self):
+        t = Tensor(np.float32([1.5]), requires_grad=True)
+        assert t.data.dtype == np.float32 and t.grad.dtype == np.float32
 
 
 class TestPrimitiveSemantics:

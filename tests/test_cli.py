@@ -233,6 +233,19 @@ class TestAdapt:
     def test_requires_config_or_data(self):
         assert main(["adapt", "--strategy", "accup"]) == 2
 
+    def test_empty_data_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # with --config, an empty --data used to read meta.json from the
+        # working directory
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(ExperimentConfig(seeds=(0,)).to_dict()))
+        monkeypatch.chdir(tmp_path)
+        for argv in (["adapt", "--config", str(path), "--data", ""],
+                     ["sweep", "--config", str(path), "--data", "", "--param", "tau",
+                      "--values", "0.5"],
+                     ["pretrain", "--data", "", "--out", str(tmp_path / "m.ttaw")]):
+            assert main(argv) == 2, argv
+            assert "--data is empty" in capsys.readouterr().err
+
     def test_config_file_with_overrides(self, dataset_dir, tmp_path):
         from tsadapt.experiment import ExperimentConfig, DirectoryData
         from tsadapt.data import DatasetMeta
@@ -333,8 +346,11 @@ class TestAdapt:
         ("pretrain", "meta.json", "[1, 2]"),
         ("adapt", "model.ttaw.json", '{"encoder": {"in_ch'),
         ("adapt", "model.ttaw.json", "{}"),
+        ("adapt", "meta.json", '{"channels": 2, "classes": 3, "length": 64, "n_trian": 8}'),
+        ("pretrain", "meta.json", '{"channels": 2, "length": 64}'),
     ], ids=["adapt-truncated-meta", "adapt-list-meta", "pretrain-truncated-meta",
-            "pretrain-list-meta", "truncated-model-sidecar", "empty-model-sidecar"])
+            "pretrain-list-meta", "truncated-model-sidecar", "empty-model-sidecar",
+            "adapt-meta-unknown-key", "pretrain-meta-missing-key"])
     def test_malformed_sidecar_is_exit_3(self, dataset_dir, tmp_path, capsys,
                                          command, sidecar, text):
         # these used to end in a JSONDecodeError, TypeError or KeyError traceback

@@ -54,9 +54,11 @@ class TestDatasetMeta:
         ({"channels": 2, "length": 64}, "classes"),
     ], ids=["unknown-key", "float-channels", "missing-classes"])
     def test_meta_json_is_read_strictly(self, tmp_path, meta, key):
+        # a data error naming the file, as for a model sidecar with a bad key
         (tmp_path / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ConfigurationError, match=key):
+        with pytest.raises(FormatError, match=key) as err:
             load_meta(tmp_path)
+        assert str(tmp_path / "meta.json") in str(err.value)
 
 
 class TestContainer:

@@ -184,11 +184,12 @@ class TestConfig:
 class TestPresets:
     def test_dataset_presets_carry_documented_values(self):
         assert HYPERPARAM_PRESETS["ucihar"] == {"k_support": 10, "eta": 20.0,
-                                                "tau": 0.7, "lr": 3e-4}
+                                                "tau": 0.7, "lr": 3e-4, "dtype": "float32"}
         assert HYPERPARAM_PRESETS["mfd"] == {"k_support": 100, "eta": 1.0,
-                                             "tau": 0.6, "lr": 3e-4}
+                                             "tau": 0.6, "lr": 3e-4, "dtype": "float32"}
         assert HYPERPARAM_PRESETS["ssc"] == {"k_support": 50, "eta": 50.0,
-                                             "tau": 0.3, "lr": 1e-5}
+                                             "tau": 0.3, "lr": 1e-5, "dtype": "float32"}
+        assert HYPERPARAM_PRESETS["synthetic"]["dtype"] == "float64"
 
     def test_apply_hyperparam_preset(self):
         config = apply_preset(AccupConfig(), "mfd")
@@ -220,6 +221,8 @@ class TestRunExperiment:
         # the model actually used is saved and content-hashed for provenance
         assert (out / "model_seed0.ttaw").exists()
         assert len(summary["model_snapshots"]["0"]) == 64
+        # results repeat bitwise only at one BLAS thread count
+        assert set(summary["blas"]) == {"name", "version", "threads"}
         with open(out / "summary.csv") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["scenario", "strategy", "seed", "macro_f1", "wall_ms"]
