@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .augment import AugmentSpec
-from .config import Dtype, Record, check_dtype
+from .config import Record
 from .errors import ConfigurationError, ContractError, NumericDomainError
 
 
@@ -212,8 +212,7 @@ class AccupConfig(Record):
     logit sharpness and the contrastive temperature. ensemble_weight is the
     fixed raw-view weight of the two-view ensemble.
     bn_policy "batch" normalizes adaptation forwards with current-batch
-    statistics; "running" freezes the pretrained statistics. dtype is the
-    compute dtype of the run (see `adapt.AdaptState`).
+    statistics; "running" freezes the pretrained statistics.
     """
 
     k_support: int = 10
@@ -227,7 +226,6 @@ class AccupConfig(Record):
     use_contrast: bool = True
     lr: float = 3e-4
     bn_policy: str = "batch"  # batch | running
-    dtype: Dtype = "float64"
 
     def __post_init__(self):
         if not isinstance(self.k_support, Integral) or self.k_support < 1:
@@ -245,4 +243,3 @@ class AccupConfig(Record):
             raise ConfigurationError(f"lr must be finite and >= 0, got {self.lr}")
         if self.bn_policy not in ("batch", "running"):
             raise ConfigurationError(f"unknown bn policy {self.bn_policy!r}")
-        check_dtype(self.dtype)

@@ -31,6 +31,12 @@ from .errors import ConfigurationError, ContractError, DegenerateBatchError
 from .metrics import MacroF1Report, macro_f1
 from .optim import Adam
 
+# The dtype ACCUP adapts in. float32 halves the bytes the memory-bound
+# encoder moves, and at the desk, ucihar, ssc and mfd shapes it predicts what
+# float64 does. The baselines adapt in float64: the log of a softmax in their
+# losses reaches log(0) in float32 once a row's logits spread past about 104.
+ACCUP_DTYPE = np.float32
+
 
 @dataclass(frozen=True)
 class LayerMask(Record):
@@ -88,14 +94,13 @@ class AdaptState:
     ACCUP optimizes the encoder blocks the layer mask selects and keeps a
     support set; tent and pseudo-label optimize the BN affine parameters;
     source and bn-stats hold an Adam over no parameters. The classifier is
-    never trainable. A model whose dtype is not the config's is swapped for
-    a converted copy, so the caller's model is then never touched.
+    never trainable. The state adapts a copy of the model in ACCUP_DTYPE
+    (ACCUP) or float64 (a baseline); the caller's model is never touched.
     """
 
     def __init__(self, model: Model, config: AccupConfig | StrategyConfig,
                  layer_mask: LayerMask | None = None, seed: int = 0):
-        if model.dtype != config.dtype:
-            model = model.clone(config.dtype)
+        model = model.clone(np.float64 if isinstance(config, StrategyConfig) else ACCUP_DTYPE)
         self.model = model
         self.config = config
         self.layer_mask = layer_mask or LayerMask()
@@ -186,6 +191,13 @@ def accup_batch(
     return pseudo, acc.contrastive_loss(z, labels, config.tau)
 
 
+def _cast(values: np.ndarray, dtype) -> np.ndarray:
+    # a value beyond the dtype's range becomes inf, which the first Tensor
+    # of the step rejects
+    with np.errstate(over="ignore"):
+        return values.astype(dtype, copy=False)
+
+
 def adapt_batch(state: AdaptState, values: np.ndarray):
     """Consume one unlabeled batch under any strategy: predict, then step.
 
@@ -196,8 +208,9 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
     DegenerateBatchError for every strategy. A step that raises leaves the
     shared tape empty, and a NumericDomainError names the stream step
     ("step N: exp: ..."). The batch and its augmented view are cast to the
-    config's dtype once; augmentation runs on the batch as given, so its
-    random draws do not depend on the dtype.
+    model's dtype once; augmentation runs on the batch as given, so its
+    random draws do not depend on the dtype. A batch value beyond the
+    float32 range fails an ACCUP step with NumericDomainError.
     """
     if not isinstance(values, np.ndarray):
         raise ContractError(
@@ -205,15 +218,15 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
         )
     if values.shape[:1] == (0,):
         raise DegenerateBatchError(f"step {state.step}: empty batch, need at least one row")
-    cfg = state.config
-    x = values.astype(cfg.dtype, copy=False)
+    cfg, dtype = state.config, state.model.dtype
     with ad.active_graph().guard(f"step {state.step}"):
+        x = _cast(values, dtype)
         if isinstance(cfg, StrategyConfig):
             preds, loss = baseline_adapt_batch(state, x)
         else:
             x_aug = None
             if cfg.use_augmentation:
-                x_aug = apply_augment(values, cfg.augment, state.rng).astype(cfg.dtype, copy=False)
+                x_aug = _cast(apply_augment(values, cfg.augment, state.rng), dtype)
             preds, loss = accup_batch(state.model, x, x_aug, cfg, support=state.support)
         loss_value = 0.0
         if loss is not None:
@@ -237,11 +250,10 @@ def run_stream(
 
     One AdaptState is built for the config (an AccupConfig runs ACCUP, a
     StrategyConfig that baseline, which ignores seed and layer_mask), and
-    every batch goes through adapt_batch. The input model is cloned, never
-    mutated. Stream items may
-    be bare value arrays or objects with .values/.labels; labels, when
-    present on every batch, are used only to score the collected
-    predictions afterwards.
+    every batch goes through adapt_batch. The input model is never mutated
+    (AdaptState adapts a copy). Stream items may be bare value arrays or
+    objects with .values/.labels; labels, when present on every batch, are
+    used only to score the collected predictions afterwards.
     """
     batches = list(stream)
     if not batches:
@@ -255,7 +267,7 @@ def run_stream(
             values.append(np.asarray(b.values, dtype=np.float64))
             labels.append(None if b.labels is None else np.asarray(b.labels))
 
-    state = AdaptState(model.clone(), config, layer_mask, seed)
+    state = AdaptState(model, config, layer_mask, seed)
     strategy = config.kind if isinstance(config, StrategyConfig) else "accup"
     record = RunRecord(strategy=strategy, seed=seed, config_hash=config_hash)
     start = time.perf_counter()

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .backbone import cross_entropy, forward
-from .config import Dtype, Record, check_dtype
+from .config import Record
 from .errors import ConfigurationError
 
 KINDS = ("source", "bn-stats", "tent", "pseudo-label")
@@ -28,19 +28,16 @@ KINDS = ("source", "bn-stats", "tent", "pseudo-label")
 
 @dataclass(frozen=True)
 class StrategyConfig(Record):
-    """Baseline kind, the learning rate for the strategies that step, and
-    the compute dtype of the run."""
+    """Baseline kind plus the learning rate for the strategies that step."""
 
     kind: str
     lr: float = 1e-3
-    dtype: Dtype = "float64"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown baseline kind {self.kind!r}")
         if not 0 <= self.lr < math.inf:
             raise ConfigurationError(f"lr must be finite and >= 0, got {self.lr}")
-        check_dtype(self.dtype)
 
     def takes_step(self) -> bool:
         return self.kind in ("tent", "pseudo-label")

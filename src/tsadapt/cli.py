@@ -36,7 +36,7 @@ from .experiment import (
 
 def _add_accup_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(HYPERPARAM_PRESETS), default=None,
-                   help="load (K, eta, tau, lr, dtype) defaults for a dataset family")
+                   help="load (K, eta, tau, lr) defaults for a dataset family")
     p.add_argument("--ablation", choices=sorted(ABLATION_PRESETS), default=None,
                    help="disable one module")
     p.add_argument("--k-support", type=int, default=None)

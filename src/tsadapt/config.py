@@ -9,7 +9,6 @@ against the hints, strictly:
   finite int or float (never NaN or ±Infinity, which Python's json reads),
   a bool field only a bool;
 - a `tuple[T, ...]` field takes a list of T;
-- a `Literal[...]` field, such as `Dtype`, takes one of the listed values;
 - a union such as `X | None` takes either form; a union of Records is
   chosen by the `"kind"` tag that each member names in its `KIND`.
 
@@ -27,18 +26,9 @@ import types
 import typing
 from dataclasses import MISSING, fields
 from numbers import Integral, Real
-from typing import ClassVar, Literal
+from typing import ClassVar
 
 from .errors import ConfigurationError, FormatError, TsadaptError
-
-# the compute dtype of a run: every parameter, activation and gradient
-DTYPES = ("float64", "float32")
-Dtype = Literal[DTYPES]
-
-
-def check_dtype(value) -> None:
-    if value not in DTYPES:
-        raise ConfigurationError(f"dtype must be one of {', '.join(DTYPES)}, got {value!r}")
 
 
 class Record:
@@ -114,10 +104,7 @@ def _decode_record(cls, d, path: str):
 def _decode(tp, value, path: str):
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         return _decode_union(tp, value, path)
-    if typing.get_origin(tp) is Literal:
-        if value in typing.get_args(tp):
-            return value
-    elif typing.get_origin(tp) is tuple:
+    if typing.get_origin(tp) is tuple:
         if isinstance(value, (list, tuple)):
             item = typing.get_args(tp)[0]
             return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value))
@@ -157,8 +144,6 @@ def _decode_union(tp, value, path: str):
 
 def _name(tp) -> str:
     args = typing.get_args(tp)
-    if typing.get_origin(tp) is Literal:
-        return "one of " + ", ".join(map(repr, args))
     if typing.get_origin(tp) is tuple:
         return f"a list of {_name(args[0])}"
     if args:  # a union

@@ -32,15 +32,13 @@ from .metrics import aggregate_reports
 
 STRATEGIES = ("accup",) + BASELINE_KINDS
 
-# (k_support, eta, tau, lr, dtype) defaults per dataset family; "synthetic"
-# is tuned for the bundled desk-scale generator scenario. The paper-scale
-# families compute in float32, which halves the bytes a memory-bound encoder
-# moves; the desk scale keeps float64.
+# (k_support, eta, tau, lr) defaults per dataset family; "synthetic" is tuned
+# for the bundled desk-scale generator scenario
 HYPERPARAM_PRESETS = {
-    "ucihar": {"k_support": 10, "eta": 20.0, "tau": 0.7, "lr": 3e-4, "dtype": "float32"},
-    "mfd": {"k_support": 100, "eta": 1.0, "tau": 0.6, "lr": 3e-4, "dtype": "float32"},
-    "ssc": {"k_support": 50, "eta": 50.0, "tau": 0.3, "lr": 1e-5, "dtype": "float32"},
-    "synthetic": {"k_support": 50, "eta": 20.0, "tau": 0.7, "lr": 2e-3, "dtype": "float64"},
+    "ucihar": {"k_support": 10, "eta": 20.0, "tau": 0.7, "lr": 3e-4},
+    "mfd": {"k_support": 100, "eta": 1.0, "tau": 0.6, "lr": 3e-4},
+    "ssc": {"k_support": 50, "eta": 50.0, "tau": 0.3, "lr": 1e-5},
+    "synthetic": {"k_support": 50, "eta": 20.0, "tau": 0.7, "lr": 2e-3},
 }
 
 # module switches of the four ablation presets
@@ -222,8 +220,6 @@ def _stream_seeds(config: ExperimentConfig, accups: list) -> tuple:
     """Stream every seed of config once per AccupConfig in accups, over one
     set-up: the splits, the stream and one model per seed (pretrained or
     loaded once). `run_stream` adapts a clone, so sharing the models is exact.
-    A baseline runs in the dtype of the AccupConfig, so that every strategy
-    of a table computes at one precision.
 
     Returns ([(MacroF1Report, RunRecords)] per AccupConfig, models).
     """
@@ -239,8 +235,8 @@ def _stream_seeds(config: ExperimentConfig, accups: list) -> tuple:
         models = [_build_model(config, train, n_classes, seed) for seed in config.seeds]
         for accup in accups:
             entry = replace(config, accup=accup)
-            strategy = (accup if config.strategy == "accup" else StrategyConfig(
-                config.strategy, lr=config.baseline_lr, dtype=accup.dtype))
+            strategy = (accup if config.strategy == "accup"
+                        else StrategyConfig(config.strategy, lr=config.baseline_lr))
             records = [run_stream(model, stream, strategy, seed=seed,
                                   layer_mask=config.layer_mask, config_hash=config_hash(entry))
                        for model, seed in zip(models, config.seeds)]
@@ -254,10 +250,10 @@ def _stream_seeds(config: ExperimentConfig, accups: list) -> tuple:
 def run_experiment(config: ExperimentConfig, write: bool = True):
     """Run every seed, aggregate mean and std, write summary files.
 
-    The summary embeds the resolved config (its dtype included), the BLAS
-    library and thread count, and a content hash of every model snapshot
-    used (the loaded one, or the per-seed snapshots the experiment saves
-    after pretraining). Returns (MacroF1Report, list of RunRecords).
+    The summary embeds the resolved config, the BLAS library and thread
+    count, and a content hash of every model snapshot used (the loaded one,
+    or the per-seed snapshots the experiment saves after pretraining).
+    Returns (MacroF1Report, list of RunRecords).
     """
     start = time.perf_counter()
     [(report, records)], models = _stream_seeds(config, [config.accup])

@@ -80,7 +80,6 @@ WRONG_TYPED_CONFIG_VALUES = [
     ("encoder.strides", [1, True, 1]),
     ("encoder", [16, 24, 24]),
     ("encoder.in_channels", 2),
-    ("accup.dtype", "float16"),
 ]
 WRONG_TYPED_CONFIG_IDS = [f"{key}={json.dumps(value)}"
                           for key, value in WRONG_TYPED_CONFIG_VALUES]

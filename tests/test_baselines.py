@@ -27,7 +27,7 @@ class TestStrategyConfig:
     def test_value_record(self):
         config = StrategyConfig("tent", lr=1e-3)
         assert config == StrategyConfig("tent") and config != StrategyConfig("tent", lr=0.0)
-        assert repr(config) == "StrategyConfig(kind='tent', lr=0.001, dtype='float64')"
+        assert repr(config) == "StrategyConfig(kind='tent', lr=0.001)"
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.lr = 0.0
         assert StrategyConfig.from_dict(config.to_dict()) == config

@@ -184,12 +184,11 @@ class TestConfig:
 class TestPresets:
     def test_dataset_presets_carry_documented_values(self):
         assert HYPERPARAM_PRESETS["ucihar"] == {"k_support": 10, "eta": 20.0,
-                                                "tau": 0.7, "lr": 3e-4, "dtype": "float32"}
+                                                "tau": 0.7, "lr": 3e-4}
         assert HYPERPARAM_PRESETS["mfd"] == {"k_support": 100, "eta": 1.0,
-                                             "tau": 0.6, "lr": 3e-4, "dtype": "float32"}
+                                             "tau": 0.6, "lr": 3e-4}
         assert HYPERPARAM_PRESETS["ssc"] == {"k_support": 50, "eta": 50.0,
-                                             "tau": 0.3, "lr": 1e-5, "dtype": "float32"}
-        assert HYPERPARAM_PRESETS["synthetic"]["dtype"] == "float64"
+                                             "tau": 0.3, "lr": 1e-5}
 
     def test_apply_hyperparam_preset(self):
         config = apply_preset(AccupConfig(), "mfd")
