@@ -162,8 +162,8 @@ def file_sha256(path) -> str:
 
 def _blas_info() -> dict:
     """The BLAS numpy was built with and the threads it runs: results repeat
-    bitwise only at a fixed dtype and a fixed thread count. A field that
-    cannot be read is None."""
+    bitwise only at a fixed thread count. A field that cannot be read is
+    None."""
     # imported here, out of the package's import time
     import ctypes
     import glob
