@@ -7,9 +7,10 @@ so classifier logits and prototype probability rows go through one uniform
 operator and their entropies are directly comparable.
 
 The support set is single-writer; prototype computation reads a frozen view
-of it. All other functions here are pure and thread-safe. The support set
-keeps at most k rows per class, so its memory is fixed by (classes, k) and
-does not grow with the stream.
+of it. The functions that record on the autodiff tape share its
+process-global state, so one process runs one adaptation at a time. The
+support set keeps at most k rows per class, so its memory is fixed by
+(classes, k) and does not grow with the stream.
 """
 
 from __future__ import annotations

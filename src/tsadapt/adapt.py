@@ -7,8 +7,9 @@ takes at most one backward and one Adam step. Predictions are always the
 pre-update forward. Labels never reach a step function; batches are bare
 value arrays, and `run_stream` uses labels only to score the run.
 
-A run owns its AdaptState exclusively (the loop is inherently sequential);
-independent runs over different seeds or configs may execute in parallel.
+The autodiff tape and its recording switch are process-global, so one
+process runs one adaptation at a time; separate processes may run in
+parallel.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from .errors import ConfigurationError, ContractError, DegenerateBatchError
 from .metrics import MacroF1Report, macro_f1
 from .optim import Adam
 
-# The dtype ACCUP adapts in. float32 halves the bytes the memory-bound
-# encoder moves, and at the desk, ucihar, ssc and mfd shapes it predicts what
-# float64 does. The baselines adapt in float64: the log of a softmax in their
-# losses reaches log(0) in float32 once a row's logits spread past about 104.
-ACCUP_DTYPE = np.float32
+# The dtype every strategy adapts in. float32 halves the bytes the
+# memory-bound encoder moves, and at the desk, ucihar, ssc and mfd shapes it
+# predicts what float64 does.
+ADAPT_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,13 @@ class AdaptState:
     ACCUP optimizes the encoder blocks the layer mask selects and keeps a
     support set; tent and pseudo-label optimize the BN affine parameters;
     source and bn-stats hold an Adam over no parameters. The classifier is
-    never trainable. The state adapts a copy of the model in ACCUP_DTYPE
-    (ACCUP) or float64 (a baseline); the caller's model is never touched.
+    never trainable. The state adapts a copy of the model in ADAPT_DTYPE;
+    the caller's model is never touched.
     """
 
     def __init__(self, model: Model, config: AccupConfig | StrategyConfig,
                  layer_mask: LayerMask | None = None, seed: int = 0):
-        model = model.clone(np.float64 if isinstance(config, StrategyConfig) else ACCUP_DTYPE)
+        model = model.clone(ADAPT_DTYPE)
         self.model = model
         self.config = config
         self.layer_mask = layer_mask or LayerMask()
@@ -210,7 +210,7 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
     ("step N: exp: ..."). The batch and its augmented view are cast to the
     model's dtype once; augmentation runs on the batch as given, so its
     random draws do not depend on the dtype. A batch value beyond the
-    float32 range fails an ACCUP step with NumericDomainError.
+    float32 range fails the step with NumericDomainError.
     """
     if not isinstance(values, np.ndarray):
         raise ContractError(

@@ -7,7 +7,7 @@ Conventions:
     inputs of both dtypes, so a dtype leak fails loudly instead of upcasting
   * every op output is checked for finiteness
   * conv1d uses the cross-correlation convention (no kernel flip)
-  * softmax subtracts the row max before exponentiating
+  * softmax and log_softmax subtract the row max before exponentiating
   * the tape records primitive applications in execution order and is
     consumed (and cleared) by backward(); a fresh graph is built on every
     forward pass, never reused across batches
@@ -382,6 +382,20 @@ def softmax(a: Tensor) -> Tensor:
     return _emit("softmax", (a,), s, bwd)
 
 
+def log_softmax(a: Tensor) -> Tensor:
+    """Row-stable log of the softmax over the last axis: the shifted logits
+    minus their log-sum-exp. The sum holds exp(0) = 1, so no row takes
+    log(0) however far its logits spread."""
+    a = _as_tensor(a)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def bwd(g):
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
+
+    return _emit("log_softmax", (a,), out, bwd)
+
+
 def cosine_pairs(a: Tensor, b: Tensor) -> Tensor:
     """Pairwise cosine similarity between rows of a (n,d) and b (m,d).
 
@@ -654,7 +668,11 @@ def load_tensors(path) -> dict:
             raise FormatError(f"unsupported snapshot version {version}")
         for _ in range(count):
             (nlen,) = struct.unpack("<H", take(f, 2, "name length"))
-            name = take(f, nlen, "name").decode("utf-8")
+            raw = take(f, nlen, "name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: tensor name {raw!r} is not utf-8") from None
             (rank,) = struct.unpack("<B", take(f, 1, "rank"))
             shape = struct.unpack(f"<{rank}Q", take(f, 8 * rank, "extents")) if rank else ()
             vals = np.frombuffer(take(f, 8 * math.prod(shape), f"values of {name!r}"),

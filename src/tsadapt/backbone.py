@@ -213,7 +213,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     n, c = logits.shape
     onehot = np.zeros((n, c), logits.data.dtype)
     onehot[np.arange(n), labels] = 1.0
-    picked = ad.mul(ad.log(ad.softmax(logits)), Tensor(onehot))
+    picked = ad.mul(ad.log_softmax(logits), Tensor(onehot))
     return ad.scalar_mul(ad.tensor_sum(picked), -1.0 / n)
 
 

@@ -53,8 +53,8 @@ def baseline_adapt_batch(state, values: np.ndarray):
         _, logits = forward(state.model, values, bn_mode=bn_mode)
     preds = logits.data.argmax(axis=1)
     if kind == "tent":
-        p = ad.softmax(logits)
-        rows = ad.scalar_mul(ad.tensor_sum(ad.mul(p, ad.log(p)), axis=-1), -1.0)
+        ls = ad.log_softmax(logits)
+        rows = ad.scalar_mul(ad.tensor_sum(ad.mul(ad.exp(ls), ls), axis=-1), -1.0)
         return preds, ad.mean(rows)
     if kind == "pseudo-label":
         return preds, cross_entropy(logits, preds)

@@ -301,8 +301,13 @@ def run_sweep(config: ExperimentConfig, param: str, values) -> list:
     every value streams against those models.
 
     Every value is read through the config codec before any entry runs, so
-    an unknown field or a wrong-typed value raises ConfigurationError first.
+    an unknown field or a wrong-typed value raises ConfigurationError first,
+    as does a baseline strategy, which no AccupConfig field changes.
     """
+    if config.strategy != "accup":
+        raise ConfigurationError(
+            f"sweep varies an AccupConfig field, which strategy {config.strategy!r} "
+            "does not read")
     values = list(values)
     if not values:
         return []

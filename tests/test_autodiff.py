@@ -24,6 +24,9 @@ from tsadapt.errors import (
 
 from conftest import finite_difference_max_rel_error, tiny_model
 
+# the name of every op the engine records
+EMITTED_OPS = set(re.findall(r'_emit\("([^"]+)"', inspect.getsource(ad)))
+
 
 class TestTensor:
     def test_rejects_non_finite(self):
@@ -530,7 +533,8 @@ class TestBackwardContract:
             lambda: ad.relu(m), lambda: ad.exp(m), lambda: ad.log(positive),
             lambda: ad.mean(m), lambda: ad.mean(m, axis=1),
             lambda: ad.tensor_sum(m), lambda: ad.tensor_sum(m, axis=0),
-            lambda: ad.softmax(m), lambda: ad.cosine_pairs(m, leaf(2, 4)),
+            lambda: ad.softmax(m), lambda: ad.log_softmax(m),
+            lambda: ad.cosine_pairs(m, leaf(2, 4)),
             lambda: ad.concat([m, n]), lambda: ad.concat([m, n], axis=1),
             lambda: ad.conv1d(x, w, bias, 2, 1), lambda: ad.conv1d(Tensor(x.data), w, bias),
             lambda: ad.batch_norm1d(x, gamma, beta, BNState(3), "train-stats"),
@@ -547,7 +551,7 @@ class TestBackwardContract:
             bwd(g)
             assert g.tobytes() == before, f"{op} backward wrote into its g"
             seen.add(op)
-        assert seen == set(re.findall(r'_emit\("([^"]+)"', inspect.getsource(ad)))
+        assert seen == EMITTED_OPS
 
 
 class TestRelease:
@@ -572,7 +576,8 @@ class TestRelease:
             ("mul", lambda r: ad.mul(m, r)), ("scalar-mul", lambda r: ad.scalar_mul(r, 2.0)),
             ("linear", lambda r: ad.linear(m, r, bias)), ("relu", ad.relu),
             ("exp", ad.exp), ("log", ad.log), ("mean", ad.mean), ("sum", ad.tensor_sum),
-            ("softmax", ad.softmax), ("cosine-similarity", lambda r: ad.cosine_pairs(m, r)),
+            ("softmax", ad.softmax), ("log_softmax", ad.log_softmax),
+            ("cosine-similarity", lambda r: ad.cosine_pairs(m, r)),
             ("concatenate", lambda r: ad.concat([m, r])),
             ("conv1d", lambda r: ad.conv1d(x, w, r)),
             ("batch_norm1d", lambda r: ad.batch_norm1d(x, gamma, r, BNState(3))),
@@ -584,7 +589,7 @@ class TestRelease:
             with pytest.raises(ContractError, match="released"):
                 case(released)
         assert len(ad.active_graph()) == 0
-        assert {op for op, _ in cases} == set(re.findall(r'_emit\("([^"]+)"', inspect.getsource(ad)))
+        assert {op for op, _ in cases} == EMITTED_OPS
 
 
 class TestOpSurface:
@@ -603,11 +608,24 @@ class TestOpSurface:
             adapt_batch(AdaptState(tiny_model(), config, seed=0), target.values[:8])
         pretrain_source(tiny_model(), train.values[:16], train.labels[:16], epochs=1,
                         batch_size=8, lr=1e-3, seed=0)
-        assert seen == set(re.findall(r'_emit\("([^"]+)"', inspect.getsource(ad)))
+        assert seen == EMITTED_OPS
 
 
 class TestFiniteDifferences:
     """Every primitive passes a central-difference check at rel. error < 1e-4."""
+
+    def test_every_op_is_checked(self, monkeypatch):
+        emit, seen = ad._emit, set()
+
+        def recording_emit(op, *args):
+            seen.add(op)
+            return emit(op, *args)
+
+        monkeypatch.setattr(ad, "_emit", recording_emit)
+        for name in dir(self):
+            if name.startswith("test_") and name != "test_every_op_is_checked":
+                getattr(self, name)()
+        assert seen == EMITTED_OPS
 
     def test_elementwise_and_reductions(self):
         rng = np.random.default_rng(10)
@@ -618,6 +636,7 @@ class TestFiniteDifferences:
             (lambda: ad.tensor_sum(ad.sub(x, y), axis=None), [x, y]),
             (lambda: ad.mean(ad.exp(ad.scalar_mul(x, 0.3))), [x]),
             (lambda: ad.tensor_sum(ad.mul(ad.log(ad.softmax(x)), y)), [x, y]),
+            (lambda: ad.tensor_sum(ad.mul(ad.log_softmax(x), y)), [x, y]),
             (lambda: ad.tensor_sum(ad.relu(x)), [x]),
             (lambda: ad.tensor_sum(ad.mean(x, axis=1)), [x]),
         ]
@@ -694,6 +713,13 @@ class TestSnapshots:
         path = tmp_path / "bad.ttaw"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(FormatError):
+            ad.load_tensors(path)
+
+    def test_name_that_is_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "params.ttaw"
+        path.write_bytes(b"TTAW" + struct.pack("<IIH", 1, 1, 1) + b"\xff"
+                         + struct.pack("<B", 0) + np.ones(1, "<f8").tobytes())
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*not utf-8"):
             ad.load_tensors(path)
 
     def test_extent_beyond_the_file_is_a_format_error(self, tmp_path):

@@ -50,11 +50,11 @@ class TestStrategyConfig:
         with pytest.raises(DegenerateBatchError):
             adapt_batch(state, np.arange(4.0).reshape(1, 2, 2))
         assert len(ad.active_graph()) == 0
-        # values near the float64 limit overflow the first convolution
+        # the largest float32 value overflows the first convolution
         adapt_batch(state, np.ones((4, 2, 16)))
         with np.errstate(over="ignore"), pytest.raises(
                 NumericDomainError, match="^step 1: conv1d: result contains non-finite values$"):
-            adapt_batch(state, np.full((4, 2, 16), 1e308))
+            adapt_batch(state, np.full((4, 2, 16), np.finfo(np.float32).max))
         assert len(ad.active_graph()) == 0
 
 

@@ -193,6 +193,21 @@ class TestAdapt:
         ])
         assert code == 4
 
+    def test_non_utf8_tensor_name_is_exit_3(self, dataset_dir, tmp_path, capsys):
+        from tsadapt.backbone import EncoderConfig, Model, save_model
+
+        path = tmp_path / "model.ttaw"
+        save_model(path, Model(EncoderConfig(in_channels=2, filters=(4, 6, 6)), 3, seed=0))
+        blob = bytearray(path.read_bytes())
+        blob[14] = 0xFF  # the first byte of the first tensor name
+        path.write_bytes(bytes(blob))
+        code = main([
+            "adapt", "--data", str(dataset_dir), "--out", str(tmp_path / "x"),
+            "--strategy", "source", "--seeds", "0", "--model", str(path),
+        ])
+        assert code == 3
+        assert str(path) in capsys.readouterr().err
+
     def test_directory_written_by_save_dataset(self, tmp_path):
         from tsadapt.data import DatasetMeta, ShiftSpec, generate_shifted_pair, save_dataset
 
@@ -438,6 +453,16 @@ class TestSweep:
         assert code == 0
         rows = json.loads((out / "sweep_augment.json").read_text())
         assert [r["value"] for r in rows] == [json.loads(values), {"kind": "none"}]
+
+    def test_baseline_strategy_is_exit_2(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "tent"
+        code = main([
+            "sweep", "--data", str(dataset_dir), "--out", str(out), "--strategy", "tent",
+            "--seeds", "0", "--epochs", "1", "--param", "k_support", "--values", "1,2,3",
+        ])
+        assert code == 2
+        assert "'tent'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_values_are_exit_2(self, dataset_dir, tmp_path):
         for values in ("a", "1,", ""):

@@ -1,5 +1,5 @@
-"""Compute precision: ACCUP adapts in float32 and predicts what a float64 run
-does; the baselines adapt in float64; the engine keeps one dtype per op."""
+"""Compute precision: every strategy adapts in float32 and predicts what a
+float64 run does; the engine keeps one dtype per op."""
 
 from dataclasses import replace
 
@@ -14,6 +14,7 @@ from tsadapt.autodiff import BNState, Tensor
 from tsadapt.backbone import (
     EncoderConfig,
     Model,
+    cross_entropy,
     encode,
     forward,
     load_model,
@@ -49,11 +50,23 @@ def param_bytes(model):
     return b"".join(a.tobytes() for a in arrays + list(model.named_buffers().values()))
 
 
+def paper_shape(channels, length, epochs):
+    """(model, stream): the default (64, 128, 128) encoder, briefly pretrained
+    on a (channels, length) shift, and three target batches of 8."""
+    sc = default_synthetic_scenario()
+    shape = {"channels": channels, "length": length}
+    train, target = generate_shifted_pair(replace(sc.source, **shape),
+                                          replace(sc.target, **shape), (32, 24), seed=0)
+    model = Model(EncoderConfig(channels), 3, seed=0)
+    pretrain_source(model, train.values, train.labels, epochs=epochs, batch_size=8, seed=0)
+    return model, make_stream(target, 8)
+
+
 def both_dtypes(monkeypatch, model, stream, config):
-    """(float32 record, float64 record) of one ACCUP stream."""
+    """(float32 record, float64 record) of one stream."""
     r32 = run_stream(model, stream, config, seed=0)
     with monkeypatch.context() as m:
-        m.setattr(adapt, "ACCUP_DTYPE", np.float64)
+        m.setattr(adapt, "ADAPT_DTYPE", np.float64)
         r64 = run_stream(model, stream, config, seed=0)
     return r32, r64
 
@@ -72,16 +85,28 @@ class TestAccupPrecision:
                              [("ucihar", 9, 128, 2), ("ssc", 1, 3000, 1)])
     def test_paper_shape_float32_predicts_what_float64_does(self, monkeypatch, preset,
                                                              channels, length, epochs):
-        # the default (64, 128, 128) encoder, briefly pretrained: enough for
-        # every batch to hold two pseudo-label classes, so every step has a loss
-        sc = default_synthetic_scenario()
-        shape = {"channels": channels, "length": length}
-        train, target = generate_shifted_pair(replace(sc.source, **shape),
-                                              replace(sc.target, **shape), (32, 24), seed=0)
-        model = Model(EncoderConfig(channels), 3, seed=0)
-        pretrain_source(model, train.values, train.labels, epochs=epochs, batch_size=8, seed=0)
+        # enough pretraining for every batch to hold two pseudo-label
+        # classes, so every step has a loss
         config = AccupConfig(**HYPERPARAM_PRESETS[preset])
-        r32, r64 = both_dtypes(monkeypatch, model, make_stream(target, 8), config)
+        r32, r64 = both_dtypes(monkeypatch, *paper_shape(channels, length, epochs), config)
+        assert r32.batch_predictions == r64.batch_predictions
+        np.testing.assert_allclose(r32.batch_losses, r64.batch_losses, rtol=1e-5, atol=0.0)
+        assert len(r64.batch_losses) == 3 and min(r64.batch_losses) > 0.0
+
+
+class TestBaselinePrecision:
+    @pytest.mark.parametrize("kind", ["source", "bn-stats", "tent", "pseudo-label"])
+    def test_desk_stream_float32_predicts_what_float64_does(self, desk, monkeypatch, kind):
+        model, stream = desk
+        r32, r64 = both_dtypes(monkeypatch, model, stream, StrategyConfig(kind))
+        assert r32.batch_predictions == r64.batch_predictions
+        np.testing.assert_allclose(r32.batch_losses, r64.batch_losses, rtol=1e-5, atol=0.0)
+        assert len(r64.batch_predictions) == 50
+
+    @pytest.mark.parametrize("kind", ["tent", "pseudo-label"])
+    def test_ucihar_shape_float32_predicts_what_float64_does(self, monkeypatch, kind):
+        r32, r64 = both_dtypes(monkeypatch, *paper_shape(9, 128, 2),
+                               StrategyConfig(kind, lr=3e-4))
         assert r32.batch_predictions == r64.batch_predictions
         np.testing.assert_allclose(r32.batch_losses, r64.batch_losses, rtol=1e-5, atol=0.0)
         assert len(r64.batch_losses) == 3 and min(r64.batch_losses) > 0.0
@@ -116,30 +141,43 @@ class TestStrategyDtype:
         for buf in state.model.named_buffers().values():
             assert buf.dtype == np.float64
 
-    @pytest.mark.parametrize("kind", ["source", "bn-stats", "tent", "pseudo-label"])
-    def test_baselines_adapt_in_float64(self, kind, pretrained):
-        state = AdaptState(pretrained.clone(np.float32), StrategyConfig(kind))
-        assert state.model.dtype == np.float64
-
     @pytest.mark.parametrize("config", [AccupConfig(lr=1e-3), StrategyConfig("tent"),
                                         StrategyConfig("pseudo-label")],
                              ids=["accup", "tent", "pseudo-label"])
     def test_logit_spread_beyond_float32_softmax_log_steps(self, config, pretrained,
-                                                           shift_data):
-        # in float32, exp(-104) is below the smallest subnormal, so the log of
-        # a softmax over logits that spread past about 104 is log(0)
+                                                           shift_data, monkeypatch):
+        # the log of a softmax is log(0) once a row's logits spread past about
+        # 104 in float32 and about 745 in float64; log_softmax never is
         _, target = shift_data
-        model = pretrained.clone()
-        model.cls_weight.data *= 40.0
-        model.cls_bias.data *= 40.0
         batch = target.values[:64]
         with ad.no_grad():
-            _, logits = forward(model, batch)
-        spread = np.ptp(logits.data, axis=1)
-        assert 104.0 < spread.max() < 700.0
-        state = AdaptState(model, config, seed=0)
-        _, loss, _ = adapt_batch(state, batch)
-        assert np.isfinite(loss)
+            _, logits = forward(pretrained.clone(), batch, "train-stats")
+        unit = np.ptp(logits.data, axis=1).max()
+        for spread in (104.0, 745.0, 1e4):
+            # the features do not depend on the classifier: scaling it scales
+            # every logit, and the widest row spreads 5 % past `spread`
+            model = pretrained.clone()
+            model.cls_weight.data *= 1.05 * spread / unit
+            model.cls_bias.data *= 1.05 * spread / unit
+            for dtype in (np.float32, np.float64):
+                monkeypatch.setattr(adapt, "ADAPT_DTYPE", dtype)
+                state = AdaptState(model, config, seed=0)
+                _, loss, _ = adapt_batch(state, batch)
+                assert np.isfinite(loss), (spread, dtype)
+                for p in state.optimizer.params:
+                    assert p.grad.dtype == dtype and np.all(np.isfinite(p.grad)), (spread, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy_at_wide_logit_spreads(self, dtype):
+        # pretraining's loss: each label picks its row's lowest logit
+        for spread in (104.0, 745.0, 1e4):
+            z = np.array([[0.0, 1.05 * spread, 0.5 * spread], [1.05 * spread, 0.0, 1.0]])
+            logits = Tensor(z.astype(dtype), requires_grad=True)
+            loss = cross_entropy(logits, np.array([0, 1]))
+            assert loss.data.dtype == dtype
+            np.testing.assert_allclose(loss.item(), 1.05 * spread, rtol=1e-6)
+            ad.backward(loss)
+            assert np.all(np.isfinite(logits.grad)), (spread, dtype)
 
     def test_accup_batch_beyond_float32_range_is_a_numeric_error(self, pretrained, shift_data):
         _, target = shift_data

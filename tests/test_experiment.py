@@ -330,6 +330,15 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(tiny_experiment(tmp_path), "verve", [1])
 
+    def test_baseline_strategy_fails_before_any_set_up(self, tmp_path, monkeypatch):
+        # a baseline reads no AccupConfig field, so every row would be the same run
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the sweep started its set-up")
+
+        monkeypatch.setattr(experiment, "_load_splits", must_not_run)
+        with pytest.raises(ConfigurationError, match="strategy 'tent'"):
+            run_sweep(tiny_experiment(tmp_path, strategy="tent"), "k_support", [1, 2, 3])
+
     def test_bad_value_fails_before_any_entry_runs(self, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):
             raise AssertionError("a sweep entry started pretraining or streaming")
