@@ -8,6 +8,10 @@ every strategy (`tsadapt.adapt`), reference baselines (`tsadapt.baselines`),
 dataset and generator utilities (`tsadapt.data`), and the evaluation layer
 (`tsadapt.metrics`, `tsadapt.experiment`, `tsadapt.cli`). Every config
 dataclass reads and writes its JSON form through `tsadapt.config`.
+
+Every model is built, pretrained and adapted in float32
+(`tsadapt.backbone.MODEL_DTYPE`); `Model.clone(np.float64)` gives the
+float64 copy that gradient checks need.
 """
 
 from .accup import (

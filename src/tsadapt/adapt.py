@@ -25,17 +25,12 @@ from . import accup as acc
 from . import autodiff as ad
 from .accup import AccupConfig, SupportSet
 from .augment import apply_augment
-from .backbone import Model, classify, encode
+from .backbone import Model, cast, classify, encode
 from .baselines import StrategyConfig, baseline_adapt_batch
 from .config import Record
 from .errors import ConfigurationError, ContractError, DegenerateBatchError
 from .metrics import MacroF1Report, macro_f1
 from .optim import Adam
-
-# The dtype every strategy adapts in. float32 halves the bytes the
-# memory-bound encoder moves, and at the desk, ucihar, ssc and mfd shapes it
-# predicts what float64 does.
-ADAPT_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -94,13 +89,13 @@ class AdaptState:
     ACCUP optimizes the encoder blocks the layer mask selects and keeps a
     support set; tent and pseudo-label optimize the BN affine parameters;
     source and bn-stats hold an Adam over no parameters. The classifier is
-    never trainable. The state adapts a copy of the model in ADAPT_DTYPE;
-    the caller's model is never touched.
+    never trainable. The state adapts a copy of the model in the model's
+    own dtype; the caller's model is never touched.
     """
 
     def __init__(self, model: Model, config: AccupConfig | StrategyConfig,
                  layer_mask: LayerMask | None = None, seed: int = 0):
-        model = model.clone(ADAPT_DTYPE)
+        model = model.clone()
         self.model = model
         self.config = config
         self.layer_mask = layer_mask or LayerMask()
@@ -191,13 +186,6 @@ def accup_batch(
     return pseudo, acc.contrastive_loss(z, labels, config.tau)
 
 
-def _cast(values: np.ndarray, dtype) -> np.ndarray:
-    # a value beyond the dtype's range becomes inf, which the first Tensor
-    # of the step rejects
-    with np.errstate(over="ignore"):
-        return values.astype(dtype, copy=False)
-
-
 def adapt_batch(state: AdaptState, values: np.ndarray):
     """Consume one unlabeled batch under any strategy: predict, then step.
 
@@ -220,13 +208,13 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
         raise DegenerateBatchError(f"step {state.step}: empty batch, need at least one row")
     cfg, dtype = state.config, state.model.dtype
     with ad.active_graph().guard(f"step {state.step}"):
-        x = _cast(values, dtype)
+        x = cast(values, dtype)
         if isinstance(cfg, StrategyConfig):
             preds, loss = baseline_adapt_batch(state, x)
         else:
             x_aug = None
             if cfg.use_augmentation:
-                x_aug = _cast(apply_augment(values, cfg.augment, state.rng), dtype)
+                x_aug = cast(apply_augment(values, cfg.augment, state.rng), dtype)
             preds, loss = accup_batch(state.model, x, x_aug, cfg, support=state.support)
         loss_value = 0.0
         if loss is not None:

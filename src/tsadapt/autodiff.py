@@ -655,17 +655,17 @@ def load_tensors(path) -> dict:
     def take(f, n, what):
         left = os.fstat(f.fileno()).st_size - f.tell()
         if n > left:
-            raise FormatError(f"snapshot truncated while reading {what}: "
+            raise FormatError(f"{path}: snapshot truncated while reading {what}: "
                               f"{n} bytes needed, {left} left")
         return f.read(n)
 
     out = {}
     with open(path, "rb") as f:
         if take(f, 4, "magic") != _MAGIC:
-            raise FormatError("bad magic: not a TTAW snapshot")
+            raise FormatError(f"{path}: bad magic: not a TTAW snapshot")
         version, count = struct.unpack("<II", take(f, 8, "header"))
         if version != _VERSION:
-            raise FormatError(f"unsupported snapshot version {version}")
+            raise FormatError(f"{path}: unsupported snapshot version {version}")
         for _ in range(count):
             (nlen,) = struct.unpack("<H", take(f, 2, "name length"))
             raw = take(f, nlen, "name")
@@ -679,7 +679,7 @@ def load_tensors(path) -> dict:
                                  dtype="<f8")
             if vals.size and not np.all(np.isfinite(vals)):
                 raise NumericDomainError(
-                    f"snapshot tensor {name!r} contains non-finite values"
+                    f"{path}: snapshot tensor {name!r} contains non-finite values"
                 )
             out[name] = vals.reshape(shape).astype(np.float64)
     return out

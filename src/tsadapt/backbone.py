@@ -16,6 +16,13 @@ because no backward reads them (see the autodiff module docstring). Each
 block keeps only its conv1d output, which batch norm's backward reads, and
 its relu output, which relu's own backward and the next block's conv1d
 read.
+
+Every model is built in MODEL_DTYPE (float32), and pretraining and
+adaptation run in the dtype of the model they are handed; only the batch
+norm running statistics stay float64. `Model.clone(np.float64)` gives a
+float64 copy, which the gradient checks and the precision tests use.
+Snapshots store every value as float64, which holds a float32 value
+exactly, and `load_model` rounds what it reads into a float32 model.
 """
 
 from __future__ import annotations
@@ -38,6 +45,11 @@ from .errors import (
 )
 
 BN_MODES = ("train-stats", "running-stats")
+
+# The dtype every model is built in. float32 halves the bytes the
+# memory-bound encoder moves, and at the desk, ucihar, ssc and mfd shapes it
+# predicts what float64 does.
+MODEL_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -81,7 +93,10 @@ class ConvBlock:
 
 
 class Model:
-    """Encoder parameters (conv + BN per block) and a linear classifier."""
+    """Encoder parameters (conv + BN per block) and a linear classifier.
+
+    The parameters are drawn in float64 and rounded to MODEL_DTYPE.
+    """
 
     def __init__(self, config: EncoderConfig, n_classes: int, seed: int = 0):
         if n_classes < 2:
@@ -91,25 +106,27 @@ class Model:
         self.config = config
         self.n_classes = n_classes
         rng = np.random.default_rng(seed)
+
+        def param(values):
+            return Tensor(values.astype(MODEL_DTYPE), requires_grad=True)
+
         self.blocks: list[ConvBlock] = []
         cin = config.in_channels
         for f, k in zip(config.filters, config.kernel_sizes):
             std = np.sqrt(2.0 / (cin * k))
             self.blocks.append(
                 ConvBlock(
-                    weight=Tensor(rng.normal(0.0, std, (f, cin, k)), requires_grad=True),
-                    bias=Tensor(np.zeros(f), requires_grad=True),
-                    gamma=Tensor(np.ones(f), requires_grad=True),
-                    beta=Tensor(np.zeros(f), requires_grad=True),
+                    weight=param(rng.normal(0.0, std, (f, cin, k))),
+                    bias=param(np.zeros(f)),
+                    gamma=param(np.ones(f)),
+                    beta=param(np.zeros(f)),
                     bn=BNState(f),
                 )
             )
             cin = f
         fdim = config.feature_dim
-        self.cls_weight = Tensor(
-            rng.normal(0.0, np.sqrt(1.0 / fdim), (n_classes, fdim)), requires_grad=True
-        )
-        self.cls_bias = Tensor(np.zeros(n_classes), requires_grad=True)
+        self.cls_weight = param(rng.normal(0.0, np.sqrt(1.0 / fdim), (n_classes, fdim)))
+        self.cls_bias = param(np.zeros(n_classes))
 
     def encoder_parameters(self, blocks=(True, True, True)) -> dict:
         params = {}
@@ -172,6 +189,13 @@ class Model:
         return other
 
 
+def cast(values, dtype) -> np.ndarray:
+    """`values` as a `dtype` array. A value beyond the dtype's range becomes
+    inf, which the first Tensor built from it rejects."""
+    with np.errstate(over="ignore"):
+        return np.asarray(values, dtype=dtype)
+
+
 def encode(model: Model, x, bn_mode: str = "running-stats") -> Tensor:
     """Run the encoder on a (B, Cin, L) batch, returning (B, F) features.
 
@@ -180,7 +204,7 @@ def encode(model: Model, x, bn_mode: str = "running-stats") -> Tensor:
     """
     if bn_mode not in BN_MODES:
         raise ContractError(f"unknown bn mode {bn_mode!r}")
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=model.dtype))
+    t = x if isinstance(x, Tensor) else Tensor(cast(x, model.dtype))
     if t.ndim != 3 or t.shape[1] != model.config.in_channels:
         raise ConformanceError(
             f"encode: input shape {t.shape} does not conform to "
@@ -198,8 +222,12 @@ def encode(model: Model, x, bn_mode: str = "running-stats") -> Tensor:
 
 
 def classify(model: Model, features) -> Tensor:
-    """Linear classifier: logits = features @ W.T + bias."""
-    f = features if isinstance(features, Tensor) else Tensor(features)
+    """Linear classifier: logits = features @ W.T + bias.
+
+    An array of features is cast to the model's dtype; a Tensor must already
+    have it.
+    """
+    f = features if isinstance(features, Tensor) else Tensor(cast(features, model.dtype))
     return ad.linear(f, model.cls_weight, model.cls_bias)
 
 
@@ -229,9 +257,10 @@ def pretrain_source(
 ) -> Model:
     """Empirical risk minimization with Adam and cross-entropy.
 
-    Trains encoder and classifier jointly with BN in train-stats mode; the
-    model is updated in place and returned. epoch_losses, when given, is
-    filled with the mean minibatch loss of each epoch.
+    Trains encoder and classifier jointly with BN in train-stats mode, in
+    the model's dtype (x is cast to it once); the model is updated in place
+    and returned. epoch_losses, when given, is filled with the mean
+    minibatch loss of each epoch.
     """
     from .optim import Adam
 
@@ -241,7 +270,7 @@ def pretrain_source(
         raise ConfigurationError(f"pretraining batch size must be >= 1, got {batch_size}")
     if seed < 0:
         raise ConfigurationError(f"pretraining seed must be non-negative, got {seed}")
-    x = np.asarray(x, dtype=np.float64)
+    x = cast(x, model.dtype)
     y = np.asarray(y)
     if x.ndim != 3 or len(x) != len(y):
         raise ContractError(f"bad training data shapes {x.shape} / {y.shape}")
@@ -298,7 +327,11 @@ def save_model(path, model: Model) -> None:
 
 
 def load_model(path) -> Model:
-    """Rebuild a snapshot; a malformed sidecar raises FormatError naming it."""
+    """Rebuild a snapshot in MODEL_DTYPE, rounding each stored value to it.
+
+    A malformed sidecar, a missing or misshapen tensor, and a value beyond
+    the model dtype's range raise FormatError naming the file.
+    """
     d = read_json_object(f"{path}.json")
     try:
         sidecar = _Sidecar.from_dict(d)
@@ -306,17 +339,17 @@ def load_model(path) -> Model:
     except TsadaptError as err:
         raise FormatError(f"{path}.json: {err}") from None
     tensors = ad.load_tensors(path)
-    for name, param in model.named_parameters().items():
+    targets = {name: p.data for name, p in model.named_parameters().items()}
+    targets.update(model.named_buffers())
+    for name, arr in targets.items():
         if name not in tensors:
-            raise ContractError(f"snapshot is missing parameter {name!r}")
-        if tensors[name].shape != param.data.shape:
-            raise ConformanceError(
-                f"snapshot tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {param.data.shape}"
+            raise FormatError(f"{path}: snapshot is missing tensor {name!r}")
+        if tensors[name].shape != arr.shape:
+            raise FormatError(
+                f"{path}: snapshot tensor {name!r} has shape {tensors[name].shape}, "
+                f"expected {arr.shape}"
             )
-        param.data[...] = tensors[name]
-    for name, buf in model.named_buffers().items():
-        if name not in tensors:
-            raise ContractError(f"snapshot is missing buffer {name!r}")
-        buf[...] = tensors[name]
+        arr[...] = cast(tensors[name], arr.dtype)
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{path}: snapshot tensor {name!r} has values beyond {arr.dtype}")
     return model

@@ -3,6 +3,7 @@
 import json
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 import tsadapt.accup as acc
@@ -18,9 +19,11 @@ def finite_difference_max_rel_error(loss_fn, tensors, h=1e-5, floor=1e-6):
     check. Returns the worst relative error over all coordinates. The floor
     keeps coordinates whose true gradient is zero (e.g. a conv bias feeding a
     train-mode batch norm) in the absolute-error regime instead of comparing
-    float noise against float noise.
+    float noise against float noise. Every checked tensor must be float64:
+    a step of h = 1e-5 is below float32's resolution.
     """
     for t in tensors:
+        assert t.data.dtype == np.float64, f"central differences need float64, got {t.data.dtype}"
         t.zero_grad()
     loss = loss_fn()
     ad.backward(loss)
@@ -45,14 +48,15 @@ def finite_difference_max_rel_error(loss_fn, tensors, h=1e-5, floor=1e-6):
 
 
 def tiny_model(n_classes=3, in_channels=2, seed=0):
-    """A small but fully wired model for fast gradient and pipeline tests."""
+    """A small but fully wired float64 model for fast gradient and pipeline
+    tests (central differences need float64)."""
     config = EncoderConfig(
         in_channels=in_channels,
         filters=(3, 4, 5),
         kernel_sizes=(3, 3, 3),
         pool_widths=(2, 1, 2),
     )
-    return Model(config, n_classes, seed=seed)
+    return Model(config, n_classes, seed=seed).clone(np.float64)
 
 
 # (dotted key, value) pairs the experiment config reader must reject, naming

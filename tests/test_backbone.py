@@ -59,7 +59,7 @@ class TestBlockOrder:
     def test_pool_then_relu_equals_relu_then_pool(self, bn_mode, pool):
         cfg = EncoderConfig(2, filters=(4, 5, 6), kernel_sizes=(3, 3, 2),
                             pool_widths=(pool, pool, pool))
-        model = Model(cfg, 3, seed=0)
+        model = Model(cfg, 3, seed=0).clone(np.float64)
         # integer weights and inputs give integer conv outputs, so pooling
         # windows hold exact ties, zeros and no positive value at all
         rng = np.random.default_rng(21)
@@ -234,7 +234,8 @@ class TestPretrain:
 
 class TestSnapshots:
     def test_round_trip_reproduces_logits_bitwise(self, tmp_path):
-        model = tiny_model(seed=7)
+        # a snapshot loads as a float32 model, so round-trip a float32 one
+        model = tiny_model(seed=7).clone(np.float32)
         # make running stats non-trivial before saving
         x = np.random.default_rng(8).normal(size=(6, 2, 16))
         with ad.no_grad():
@@ -246,6 +247,28 @@ class TestSnapshots:
             _, original = forward(model, x, "running-stats")
             _, reloaded = forward(restored, x, "running-stats")
         np.testing.assert_array_equal(original.data, reloaded.data)
+
+    def test_float32_snapshot_round_trips_exactly(self, tmp_path):
+        model = Model(tiny_model().config, 3, seed=4)
+        x = np.random.default_rng(9).normal(size=(6, 2, 16))
+        with ad.no_grad():
+            forward(model, x, "train-stats")
+        path = tmp_path / "model.ttaw"
+        save_model(path, model)
+        restored = load_model(path)
+        # the format is unchanged: a 12-byte header, then per tensor its
+        # name, rank and extents and 8 bytes per value
+        tensors = {n: p.data for n, p in model.named_parameters().items()}
+        tensors.update(model.named_buffers())
+        assert path.stat().st_size == 12 + sum(3 + len(n) + 8 * (a.ndim + a.size)
+                                               for n, a in tensors.items())
+        assert restored.dtype == model.dtype == np.float32
+        for name, p in model.named_parameters().items():
+            got = restored.named_parameters()[name].data
+            assert got.dtype == np.float32 and got.tobytes() == p.data.tobytes()
+        for name, buf in model.named_buffers().items():
+            got = restored.named_buffers()[name]
+            assert got.dtype == np.float64 and got.tobytes() == buf.tobytes()
 
     def test_sidecar_restores_architecture(self, tmp_path):
         model = tiny_model(seed=9)

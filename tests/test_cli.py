@@ -386,6 +386,40 @@ class TestAdapt:
         assert main(argv) == 3
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["missing-parameter", "missing-buffer", "wrong-shape",
+                                       "beyond-float32", "truncated", "bad-magic", "version"])
+    def test_malformed_snapshot_is_exit_3_naming_it(self, dataset_dir, tmp_path, capsys,
+                                                    fault):
+        # a missing tensor used to be exit 2 and a wrong shape a
+        # ConformanceError, and no snapshot error named the file
+        import tsadapt.autodiff as ad
+        from tsadapt.backbone import EncoderConfig, Model, save_model
+
+        model = Model(EncoderConfig(in_channels=2, filters=(4, 6, 6)), 3)
+        path = tmp_path / "model.ttaw"
+        save_model(path, model)
+        tensors = ad.load_tensors(path)
+        if fault == "missing-parameter":
+            del tensors["cls.w"]
+        elif fault == "missing-buffer":
+            del tensors["enc.0.bn.rmean"]
+        elif fault == "wrong-shape":
+            tensors["cls.b"] = np.zeros(4)
+        elif fault == "beyond-float32":
+            tensors["cls.w"][0, 0] = 1e39
+        ad.save_tensors(path, tensors)
+        blob = bytearray(path.read_bytes())
+        if fault == "truncated":
+            del blob[-5:]
+        elif fault == "bad-magic":
+            blob[:4] = b"TTAX"
+        elif fault == "version":
+            blob[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        assert main(["adapt", "--data", str(dataset_dir), "--out", str(tmp_path / "x"),
+                     "--strategy", "source", "--seeds", "0", "--model", str(path)]) == 3
+        assert f"{path}: " in capsys.readouterr().err
+
 
 class TestSweep:
     def test_small_grid(self, dataset_dir, tmp_path):

@@ -1,5 +1,6 @@
-"""Compute precision: every strategy adapts in float32 and predicts what a
-float64 run does; the engine keeps one dtype per op."""
+"""Compute precision: every model is built, pretrained and adapted in
+float32, and predicts what a float64 clone does; the engine keeps one dtype
+per op."""
 
 from dataclasses import replace
 
@@ -8,12 +9,14 @@ import pytest
 
 import tsadapt.adapt as adapt
 import tsadapt.autodiff as ad
+import tsadapt.optim as optim
 from tsadapt.accup import AccupConfig
 from tsadapt.adapt import AdaptState, adapt_batch, run_stream
 from tsadapt.autodiff import BNState, Tensor
 from tsadapt.backbone import (
     EncoderConfig,
     Model,
+    classify,
     cross_entropy,
     encode,
     forward,
@@ -36,11 +39,12 @@ ACCUP_STEPS = {
 
 @pytest.fixture(scope="module")
 def desk():
-    """The desk stream: `synthetic` preset, seed 0, 50 batches of 32."""
+    """The desk stream: `synthetic` preset, seed 0, 50 batches of 32, and a
+    model pretrained from a float64 clone."""
     sc = default_synthetic_scenario()
     train, target = generate_shifted_pair(sc.source, sc.target, (sc.n_source, sc.n_target),
                                           seed=0)
-    model = Model(EncoderConfig(2, filters=(16, 24, 24)), 3, seed=0)
+    model = Model(EncoderConfig(2, filters=(16, 24, 24)), 3, seed=0).clone(np.float64)
     pretrain_source(model, train.values, train.labels, epochs=40, seed=0)
     return model, make_stream(target, 32)
 
@@ -63,12 +67,20 @@ def paper_shape(channels, length, epochs):
 
 
 def both_dtypes(monkeypatch, model, stream, config):
-    """(float32 record, float64 record) of one stream."""
-    r32 = run_stream(model, stream, config, seed=0)
-    with monkeypatch.context() as m:
-        m.setattr(adapt, "ADAPT_DTYPE", np.float64)
-        r64 = run_stream(model, stream, config, seed=0)
-    return r32, r64
+    """(float32 record, float64 record) of one stream, each adapting a clone
+    of the model in that dtype; every step must run in it."""
+    step, seen, records = adapt.adapt_batch, [], []
+
+    def recording_step(state, values):
+        seen.extend(p.data.dtype for p in state.model.named_parameters().values())
+        return step(state, values)
+
+    monkeypatch.setattr(adapt, "adapt_batch", recording_step)
+    for dtype in (np.float32, np.float64):
+        seen.clear()
+        records.append(run_stream(model.clone(dtype), stream, config, seed=0))
+        assert set(seen) == {np.dtype(dtype)}
+    return tuple(records)
 
 
 class TestAccupPrecision:
@@ -145,7 +157,7 @@ class TestStrategyDtype:
                                         StrategyConfig("pseudo-label")],
                              ids=["accup", "tent", "pseudo-label"])
     def test_logit_spread_beyond_float32_softmax_log_steps(self, config, pretrained,
-                                                           shift_data, monkeypatch):
+                                                           shift_data):
         # the log of a softmax is log(0) once a row's logits spread past about
         # 104 in float32 and about 745 in float64; log_softmax never is
         _, target = shift_data
@@ -160,8 +172,7 @@ class TestStrategyDtype:
             model.cls_weight.data *= 1.05 * spread / unit
             model.cls_bias.data *= 1.05 * spread / unit
             for dtype in (np.float32, np.float64):
-                monkeypatch.setattr(adapt, "ADAPT_DTYPE", dtype)
-                state = AdaptState(model, config, seed=0)
+                state = AdaptState(model.clone(dtype), config, seed=0)
                 _, loss, _ = adapt_batch(state, batch)
                 assert np.isfinite(loss), (spread, dtype)
                 for p in state.optimizer.params:
@@ -195,6 +206,59 @@ class TestStrategyDtype:
             assert encode(model, target.values[:4]).data.dtype == np.float32
         with pytest.raises(ConformanceError, match="float64"):
             encode(model, Tensor(target.values[:4]))
+
+    def test_classify_casts_an_array_of_features_to_the_model_dtype(self):
+        model = tiny_model().clone(np.float32)
+        feats = np.random.default_rng(5).normal(size=(4, model.config.feature_dim))
+        with ad.no_grad():
+            logits = classify(model, feats)
+            assert logits.data.dtype == np.float32
+            np.testing.assert_array_equal(
+                logits.data, classify(model, Tensor(feats.astype(np.float32))).data)
+            with pytest.raises(ConformanceError, match="float64"):
+                classify(model, Tensor(feats))
+
+
+class TestPretrainDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pretraining_runs_in_the_models_dtype(self, dtype, shift_data, monkeypatch):
+        train, _ = shift_data
+        opts = []
+
+        class RecordingAdam(optim.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opts.append(self)
+
+        monkeypatch.setattr(optim, "Adam", RecordingAdam)
+        model = tiny_model().clone(dtype)
+        losses = []
+        pretrain_source(model, train.values[:64], train.labels[:64], epochs=2, seed=0,
+                        epoch_losses=losses)
+        (opt,) = opts
+        assert opt.t == 4 and np.isfinite(losses).all()
+        assert {p.data.dtype for p in opt.params} == {np.dtype(dtype)}
+        assert {p.grad.dtype for p in opt.params} == {np.dtype(dtype)}
+        assert opt._m.dtype == opt._v.dtype == dtype
+        # the running statistics stay float64 buffers, and moved
+        for name, buf in model.named_buffers().items():
+            assert buf.dtype == np.float64
+            assert not np.array_equal(buf, np.zeros_like(buf) if "rmean" in name
+                                      else np.ones_like(buf))
+
+    def test_a_new_model_is_the_float32_rounding_of_its_float64_draw(self):
+        # the draws of a float64 model, in the order Model makes them
+        config = EncoderConfig(2, filters=(3, 4, 5), kernel_sizes=(3, 4, 5))
+        rng, cin, draws = np.random.default_rng(3), 2, []
+        for f, k in zip(config.filters, config.kernel_sizes):
+            draws.append(rng.normal(0.0, np.sqrt(2.0 / (cin * k)), (f, cin, k)))
+            cin = f
+        draws.append(rng.normal(0.0, np.sqrt(1.0 / 5), (3, 5)))
+        model = Model(config, 3, seed=3)
+        weights = [blk.weight for blk in model.blocks] + [model.cls_weight]
+        for w, d in zip(weights, draws):
+            assert w.data.dtype == np.float32
+            assert w.data.tobytes() == d.astype(np.float32).tobytes()
 
 
 class TestMixedDtypes:
@@ -232,7 +296,7 @@ class TestAdaptStateCopy:
         for batch in make_stream(target, 32)[:3]:
             adapt_batch(state, batch.values)
         assert param_bytes(pretrained) == before
-        assert pretrained.dtype == np.float64
+        assert pretrained.dtype == state.model.dtype == np.float32
 
     def test_float32_model_saves_as_float64_and_loads_back(self, pretrained, shift_data,
                                                           tmp_path):
@@ -244,6 +308,5 @@ class TestAdaptStateCopy:
         save_model(path, state.model)
         # the reader takes 8 bytes per value, and rejects a file short of them
         loaded = load_model(path)
-        assert loaded.dtype == np.float64
-        for name, p in state.model.named_parameters().items():
-            np.testing.assert_array_equal(loaded.named_parameters()[name].data, p.data)
+        assert loaded.dtype == np.float32
+        assert param_bytes(loaded) == param_bytes(state.model)
