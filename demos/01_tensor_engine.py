@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Tour of the float64 tensor engine: primitives, gradients, snapshots.
+"""Tour of the tensor engine: primitives, gradients, snapshots.
+
+The engine computes in float32 or float64, whichever its inputs hold; this
+tour uses float64 throughout, which the central difference below needs.
 
 Run from the repository root:  python3 demos/01_tensor_engine.py
 """
@@ -24,8 +27,7 @@ print("linear x @ w.T + b, (4,3) by (2,3) ->", ad.linear(x, w, b).shape)
 ad.active_graph().clear()
 
 # --- reverse-mode gradients --------------------------------------------------
-# loss = sum(x * x) has the textbook gradient 2x
-x.zero_grad()
+# loss = sum(x * x) has the textbook gradient 2x; x.grad is None until then
 ad.backward(ad.tensor_sum(ad.mul(x, x)))
 print("quadratic gradient matches 2x:", np.allclose(x.grad, 2 * x.data))
 
@@ -37,7 +39,6 @@ def loss_fn():
     return ad.tensor_sum(ad.mul(ad.log(ad.softmax(y)), Tensor(np.ones((4, 3)))))
 
 
-y.zero_grad()
 loss = loss_fn()
 ad.backward(loss)
 analytic = y.grad.copy()

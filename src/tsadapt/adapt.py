@@ -28,7 +28,7 @@ from .augment import apply_augment
 from .backbone import Model, cast, classify, encode
 from .baselines import StrategyConfig, baseline_adapt_batch
 from .config import Record
-from .errors import ConfigurationError, ContractError, DegenerateBatchError
+from .errors import ConfigurationError, ConformanceError, ContractError, DegenerateBatchError
 from .metrics import MacroF1Report, macro_f1
 from .optim import Adam
 
@@ -90,7 +90,9 @@ class AdaptState:
     support set; tent and pseudo-label optimize the BN affine parameters;
     source and bn-stats hold an Adam over no parameters. The classifier is
     never trainable. The state adapts a copy of the model in the model's
-    own dtype; the caller's model is never touched.
+    own dtype; the caller's model is never touched. Only the optimizer's
+    parameters require a gradient in the copy: backward computes none that
+    nothing reads, and ops with only frozen inputs stay off the tape.
     """
 
     def __init__(self, model: Model, config: AccupConfig | StrategyConfig,
@@ -107,6 +109,9 @@ class AdaptState:
             params = model.encoder_parameters(self.layer_mask.blocks())
             if config.use_prototypes:
                 self.support = SupportSet.from_classifier(model.cls_weight.data, config.k_support)
+        owned = {id(p) for p in params.values()}
+        for p in model.named_parameters().values():
+            p.requires_grad = id(p) in owned
         self.optimizer = Adam(params.values(), lr=config.lr)
         self.step = 0
 
@@ -192,13 +197,15 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
     The strategy gives the pre-update predictions and its loss, or None
     (source, bn-stats, ACCUP without the contrastive loss). With a loss one
     backward and one Adam step follow; without one the loss value is 0.0.
-    Returns (predictions, loss value, state). A batch with no rows raises
-    DegenerateBatchError for every strategy. A step that raises leaves the
-    shared tape empty, and a NumericDomainError names the stream step
-    ("step N: exp: ..."). The batch and its augmented view are cast to the
-    model's dtype once; augmentation runs on the batch as given, so its
-    random draws do not depend on the dtype. A batch value beyond the
-    float32 range fails the step with NumericDomainError.
+    Returns (predictions, loss value, state). For every strategy, a batch
+    with no rows raises DegenerateBatchError, and any other batch that is
+    not (B, model Cin, L) raises ConformanceError ("step N: ...") before it
+    is augmented. A step that raises leaves the shared tape empty, and a
+    NumericDomainError names the stream step ("step N: exp: ..."). The
+    batch and its augmented view are cast to the model's dtype once;
+    augmentation runs on the batch as given, so its random draws do not
+    depend on the dtype. A batch value beyond the float32 range fails the
+    step with NumericDomainError.
     """
     if not isinstance(values, np.ndarray):
         raise ContractError(
@@ -206,6 +213,11 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
         )
     if values.shape[:1] == (0,):
         raise DegenerateBatchError(f"step {state.step}: empty batch, need at least one row")
+    cin = state.model.config.in_channels
+    if values.ndim != 3 or values.shape[1] != cin:
+        raise ConformanceError(
+            f"step {state.step}: batch shape {values.shape} does not conform to (B, {cin}, L)"
+        )
     cfg, dtype = state.config, state.model.dtype
     with ad.active_graph().guard(f"step {state.step}"):
         x = cast(values, dtype)

@@ -11,14 +11,14 @@ Conventions:
   * the tape records primitive applications in execution order and is
     consumed (and cleared) by backward(); a fresh graph is built on every
     forward pass, never reused across batches
-  * gradients are lazy: a leaf built with requires_grad=True owns a
-    zero-filled buffer that backward adds into, but an op output holds a
+  * gradients are lazy, one rule for every tensor: `grad` is None until
+    backward reaches it, the first contribution is adopted without a copy
+    and every later one is added out of place. An op output keeps its
     gradient only while backward passes through it, and backward pops the
-    tape node by node, so each node's closure and activations are released
-    as soon as its backward has run
+    tape node by node, releasing each node's closure and activations
   * a backward function bwd(g) returns one input gradient per input: a
-    fresh array, a view of g, or None. It never mutates g, because backward
-    adopts the first gradient an op output receives without copying it, so
+    fresh array, a view of g, or None (linear, conv1d and batch_norm1d
+    compute none for an input that needs none). It never mutates g, since
     one array may be the gradient of several tensors at once
 
 The encoder-block ops (conv1d, batch_norm1d, relu, max_pool1d) return
@@ -66,15 +66,14 @@ from .errors import (
 
 
 class Tensor:
-    """A dense float32 or float64 array plus an optional gradient accumulator.
+    """A dense float32 or float64 array plus its gradient, once it has one.
 
     A float32 array stays float32; anything else becomes float64.
 
-    A leaf made with requires_grad=True keeps a zero-filled `grad` buffer for
-    its whole life (the optimizer reads it). An op output starts with
-    `grad = None` and holds a gradient only while backward passes through it;
-    that gradient may share memory with another tensor's, so nothing may
-    write into it.
+    `grad` starts as None for every tensor. backward gives it to a leaf with
+    requires_grad=True (the optimizer reads it) and to an op output only
+    while it passes through; it may share memory with another tensor's
+    gradient, so nothing may write into it.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -86,7 +85,7 @@ class Tensor:
             raise NumericDomainError("tensor values must be finite")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = None
 
     @property
     def shape(self):
@@ -108,10 +107,6 @@ class Tensor:
         docstring); the tensor can still carry a gradient, but no op may
         take it as an input again."""
         self.data = None
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -190,7 +185,7 @@ def _emit(op: str, inputs: tuple, out_data: np.ndarray, bwd) -> Tensor:
     out.data = out_data
     track = _grad_enabled and any(t.requires_grad for t in inputs)
     out.requires_grad = track
-    out.grad = None  # filled by backward, and only while it needs it
+    out.grad = None
     if track:
         _graph.nodes.append((op, inputs, out, bwd))
     return out
@@ -201,47 +196,30 @@ def backward(loss: Tensor) -> None:
 
     Nodes are popped off the tape one at a time, and each output's gradient
     is taken and cleared before its node runs; a node whose output received
-    no gradient is skipped. The first gradient an op output receives is
-    stored as the backward function returned it, with no copy: it may be
-    the array handed to another input as well (add) or a view of the
-    consumer's g (concat), so a later contribution is added out of place.
-    A leaf's own buffer is added into in place, the loss's own included.
+    no gradient is skipped. A tensor's first gradient is stored as the
+    backward function returned it, with no copy: it may be the array handed
+    to another input as well (add) or a view of the consumer's g (concat),
+    so every later contribution, the loss's own included, is added out of
+    place.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractError("backward expects a scalar tensor")
     if not loss.requires_grad:
         raise ContractError("loss is not connected to the active graph")
-    if loss.grad is None:
-        loss.grad = np.ones_like(loss.data)
-    else:
-        loss.grad += 1.0
+    ones = np.ones_like(loss.data)
+    loss.grad = ones if loss.grad is None else loss.grad + ones
     nodes = _graph.nodes
-    adopted = set()  # tensors whose grad is an array some backward returned
     try:
         while nodes:
             _, inputs, out, bwd = nodes.pop()
             g_out, out.grad = out.grad, None
-            adopted.discard(out)
             if g_out is None:
                 continue
             for t, g in zip(inputs, bwd(g_out)):
-                if g is None or not t.requires_grad:
-                    continue
-                if t.grad is None:
-                    t.grad = g
-                    adopted.add(t)
-                elif t in adopted:
-                    t.grad = t.grad + g  # a fresh array, owned from here on
-                    adopted.discard(t)
-                else:
-                    t.grad += g
+                if g is not None and t.requires_grad:
+                    t.grad = g if t.grad is None else t.grad + g
     finally:
         _graph.clear()
-        # a leaf that had no buffer keeps a private copy: the next backward
-        # adds into it in place
-        for t in adopted:
-            if t.grad is not None:
-                t.grad = np.array(t.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +282,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     dx, dw = x.data, w.data
 
     def bwd(g):
-        return g @ dw, g.T @ dx, g.sum(axis=0)
+        return (g @ dw if x.requires_grad else None,
+                g.T @ dx if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
 
     return _emit("linear", (x, w, b), dx @ dw.T + b.data, bwd)
 
@@ -490,17 +470,18 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     out += b.data[:, None]
 
     def bwd(g):
-        dw = np.zeros((cout, cin, k), dtype)
-        for j, t0, t1, src in taps:
-            dw[:, :, j] = (g[:, :, t0:t1] @ x.data[:, :, src].transpose(0, 2, 1)).sum(axis=0)
-        if not x.requires_grad:  # e.g. the encoder's input batch
-            return None, dw, g.sum(axis=(0, 2))
-        dx = np.zeros((bsz, cin, length), dtype)
-        dtap = np.empty((bsz, cin, lout), dtype)
-        for j, t0, t1, src in taps:
-            np.matmul(w.data[:, :, j].T, g, out=dtap)
-            dx[:, :, src] += dtap[:, :, t0:t1]
-        return dx, dw, g.sum(axis=(0, 2))
+        dx = dw = None
+        if w.requires_grad:
+            dw = np.zeros((cout, cin, k), dtype)
+            for j, t0, t1, src in taps:
+                dw[:, :, j] = (g[:, :, t0:t1] @ x.data[:, :, src].transpose(0, 2, 1)).sum(axis=0)
+        if x.requires_grad:
+            dx = np.zeros((bsz, cin, length), dtype)
+            dtap = np.empty((bsz, cin, lout), dtype)
+            for j, t0, t1, src in taps:
+                np.matmul(w.data[:, :, j].T, g, out=dtap)
+                dx[:, :, src] += dtap[:, :, t0:t1]
+        return dx, dw, g.sum(axis=(0, 2)) if b.requires_grad else None
 
     return _emit("conv1d", (x, w, b), out, bwd)
 
@@ -575,15 +556,18 @@ def batch_norm1d(
         xhat *= inv[None, :, None]
         dgamma = np.einsum("bcl,bcl->c", g, xhat)
         dbeta = g.sum(axis=(0, 2))
-        if mode == "running-stats":
-            return g * s[None, :, None], dgamma, dbeta
-        # s * (g - mean(g) - xhat * mean(g * xhat)), in the buffer of xhat
-        dx = xhat
-        dx *= (-dgamma / m)[None, :, None]
-        dx += g
-        dx -= (dbeta / m)[None, :, None]
-        dx *= s[None, :, None]
-        return dx, dgamma, dbeta
+        dx = None  # stays None for the output of a frozen conv
+        if x.requires_grad and mode == "running-stats":
+            dx = g * s[None, :, None]
+        elif x.requires_grad:
+            # s * (g - mean(g) - xhat * mean(g * xhat)), in the buffer of xhat
+            dx = xhat
+            dx *= (-dgamma / m)[None, :, None]
+            dx += g
+            dx -= (dbeta / m)[None, :, None]
+            dx *= s[None, :, None]
+        return (dx, dgamma if gamma.requires_grad else None,
+                dbeta if beta.requires_grad else None)
 
     return _emit("batch_norm1d", (x, gamma, beta), out, bwd)
 

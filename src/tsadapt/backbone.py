@@ -41,6 +41,7 @@ from .errors import (
     ContractError,
     FormatError,
     LabelRangeError,
+    NumericDomainError,
     TsadaptError,
 )
 
@@ -260,7 +261,9 @@ def pretrain_source(
     Trains encoder and classifier jointly with BN in train-stats mode, in
     the model's dtype (x is cast to it once); the model is updated in place
     and returned. epoch_losses, when given, is filled with the mean
-    minibatch loss of each epoch.
+    minibatch loss of each epoch. A sample with a value that is not finite
+    in the model's dtype raises NumericDomainError naming the first such
+    sample before any step, so the model is left untouched.
     """
     from .optim import Adam
 
@@ -276,6 +279,12 @@ def pretrain_source(
         raise ContractError(f"bad training data shapes {x.shape} / {y.shape}")
     if len(x) == 0:
         raise ContractError("empty training dataset")
+    bad = ~np.isfinite(x).all(axis=(1, 2))
+    if bad.any():
+        raise NumericDomainError(
+            f"training sample {int(bad.argmax())} has values that are not finite "
+            f"in {x.dtype.name}"
+        )
     if not np.issubdtype(y.dtype, np.integer) or y.min() < 0 or y.max() >= model.n_classes:
         raise LabelRangeError(
             f"labels must be integers in 0..{model.n_classes - 1}"

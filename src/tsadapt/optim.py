@@ -2,8 +2,8 @@
 
 The moments of every parameter live in two flat buffers, and the gradients
 and the update in flat scratch buffers, so one step is about a dozen
-whole-buffer numpy calls that allocate no array, plus one in-place update
-per parameter.
+whole-buffer numpy calls that allocate no array, plus one gradient copy and
+one in-place update per parameter.
 """
 
 from __future__ import annotations
@@ -22,14 +22,15 @@ class Adam:
     Every parameter must share one dtype, which the moments take. Each
     element sees the same arithmetic as a per-tensor loop, so the result is
     bitwise that loop's. lr = 0 leaves parameters bitwise unchanged while
-    still counting a step.
+    still counting a step. zero_grad sets every gradient to None; step reads
+    a gradient that is still None as zeros.
     """
 
     def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params: list[Tensor] = list(params)
         if not math.isfinite(lr) or lr < 0:
             raise ConfigurationError(f"learning rate must be finite and >= 0, got {lr}")
-        if any(p.grad is None for p in self.params):
+        if not all(p.requires_grad for p in self.params):
             raise ConfigurationError("Adam needs requires_grad parameters")
         dtypes = sorted({p.data.dtype.name for p in self.params})
         if len(dtypes) > 1:
@@ -52,7 +53,7 @@ class Adam:
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
     def step(self) -> None:
         self.t += 1
@@ -60,7 +61,8 @@ class Adam:
             return
         b1, b2, m, v, g, a, b = (self.beta1, self.beta2, self._m, self._v,
                                  self._g, self._a, self._b)
-        np.concatenate([p.grad for p in self.params], axis=None, out=g)
+        for p, s in zip(self.params, self._slices):
+            g[s] = 0.0 if p.grad is None else p.grad.reshape(-1)
         # m = b1 * m + (1 - b1) * g, and v = b2 * v + (1 - b2) * g * g
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=a)

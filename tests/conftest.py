@@ -20,14 +20,15 @@ def finite_difference_max_rel_error(loss_fn, tensors, h=1e-5, floor=1e-6):
     keeps coordinates whose true gradient is zero (e.g. a conv bias feeding a
     train-mode batch norm) in the absolute-error regime instead of comparing
     float noise against float noise. Every checked tensor must be float64:
-    a step of h = 1e-5 is below float32's resolution.
+    a step of h = 1e-5 is below float32's resolution. A tensor backward never
+    reaches keeps grad None, which reads as a zero gradient.
     """
     for t in tensors:
         assert t.data.dtype == np.float64, f"central differences need float64, got {t.data.dtype}"
-        t.zero_grad()
+        t.grad = None
     loss = loss_fn()
     ad.backward(loss)
-    grads = [t.grad.copy() for t in tensors]
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
     worst = 0.0
     for t, g in zip(tensors, grads):
         flat = t.data.reshape(-1)

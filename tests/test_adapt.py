@@ -27,6 +27,7 @@ from tsadapt.baselines import StrategyConfig
 from tsadapt.data import TimeSeriesBatch, make_stream
 from tsadapt.errors import (
     ConfigurationError,
+    ConformanceError,
     ContractError,
     DegenerateBatchError,
     NumericDomainError,
@@ -135,11 +136,14 @@ class TestAdaptBatch:
             adapt_batch(state, labeled)
 
     def test_channel_mismatch_rejected(self, pretrained):
-        from tsadapt.errors import ConformanceError
-
-        state = AdaptState(pretrained.clone(), quiet_config())
-        with pytest.raises(ConformanceError):
-            adapt_batch(state, np.zeros((4, 5, 64)))
+        # checked before ACCUP augments, so every strategy fails alike, on a
+        # 2-D batch as on a wrong channel count
+        for strategy in STRATEGIES:
+            state = AdaptState(pretrained.clone(), stepping_config(strategy))
+            for batch in (np.zeros((4, 64)), np.zeros((4, 5, 64))):
+                with pytest.raises(ConformanceError, match=r"^step 0: batch shape \("):
+                    adapt_batch(state, batch)
+            assert state.step == 0 and len(ad.active_graph()) == 0, strategy
 
     def test_support_set_stays_bounded(self, pretrained, shift_data):
         _, target = shift_data
@@ -284,6 +288,28 @@ class TestStepContract:
         with pytest.raises(DegenerateBatchError, match="^step 1: empty batch"):
             adapt_batch(state, np.zeros((0, 2, 64)))
         assert state.step == 1 and len(ad.active_graph()) == 0
+
+
+class TestFrozenParameters:
+    """Only the optimizer's parameters train: backward gives no other
+    parameter a gradient, whatever the strategy."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES + ("accup-block-3",))
+    def test_no_gradient_outside_the_optimizer(self, strategy, pretrained, shift_data):
+        _, target = shift_data
+        mask = LayerMask(False, False, True) if strategy == "accup-block-3" else None
+        config = stepping_config("accup" if mask else strategy)
+        state = AdaptState(pretrained.clone(), config, mask)
+        for start in (0, 32, 64):
+            adapt_batch(state, target.values[start:start + 32])
+        owned = {id(p) for p in state.optimizer.params}
+        params = state.model.named_parameters()
+        assert id(params["cls.w"]) not in owned and id(params["cls.b"]) not in owned
+        for name, p in params.items():
+            if id(p) in owned:
+                assert p.requires_grad and p.grad is not None, name
+            else:
+                assert not p.requires_grad and p.grad is None, name
 
 
 class TestModuleSwitchWiring:

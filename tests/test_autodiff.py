@@ -1,6 +1,7 @@
 """Engine tests: primitive semantics, gradients, the tape, and snapshots."""
 
 import inspect
+import itertools
 import re
 import struct
 import tracemalloc
@@ -35,10 +36,12 @@ class TestTensor:
         with pytest.raises(NumericDomainError):
             Tensor([np.nan])
 
-    def test_grad_present_iff_requires_grad(self):
-        assert Tensor([1.0]).grad is None
-        t = Tensor([1.0, 2.0], requires_grad=True)
-        assert t.grad is not None and t.grad.shape == t.data.shape
+    def test_grad_is_none_until_backward(self):
+        frozen, t = Tensor([3.0, 4.0]), Tensor([1.0, 2.0], requires_grad=True)
+        assert frozen.grad is None and t.grad is None
+        ad.backward(ad.tensor_sum(ad.mul(t, frozen)))
+        assert frozen.grad is None
+        np.testing.assert_array_equal(t.grad, frozen.data)
 
     def test_double_precision(self):
         # float64 is the default: every input that is not a float32 array
@@ -47,6 +50,7 @@ class TestTensor:
 
     def test_float32_stays_float32(self):
         t = Tensor(np.float32([1.5]), requires_grad=True)
+        ad.backward(ad.tensor_sum(ad.mul(t, t)))
         assert t.data.dtype == np.float32 and t.grad.dtype == np.float32
 
 
@@ -387,7 +391,7 @@ class TestBackward:
         w = Tensor(rng.normal(size=(5, 6)))
 
         def run():
-            x.zero_grad()
+            x.grad = None
             ad.backward(ad.tensor_sum(ad.mul(ad.log(ad.softmax(x)), w)))
             return x.grad.copy()
 
@@ -440,24 +444,30 @@ class TestGradientOwnership:
         np.testing.assert_array_equal(b.grad, 3.0 * w1.data[2:])
         np.testing.assert_array_equal(e.grad, 5.0 * w1.data)
 
-    def test_leaf_without_a_buffer_keeps_a_private_gradient(self):
-        # add hands a and b one array; the next backward adds into each leaf's
-        # gradient in place, so they must not be left sharing it
-        a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
-        a.requires_grad = b.requires_grad = True
+    def test_leaves_handed_one_array_accumulate_apart(self):
+        # add hands a and b one array; a second backward adds to each leaf's
+        # gradient out of place, so neither call writes into the other's
+        rng = np.random.default_rng(17)
+        a, b = (Tensor(rng.normal(size=3), requires_grad=True) for _ in range(2))
+        w1, w2 = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
         ad.backward(ad.tensor_sum(ad.add(a, b)))
-        assert not np.shares_memory(a.grad, b.grad)
-        np.testing.assert_array_equal(a.grad, [1.0, 1.0])
-        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        first = a.grad
+        assert b.grad is first
+        np.testing.assert_array_equal(first, np.ones(3))
+        ad.backward(ad.tensor_sum(ad.add(ad.mul(a, w1), ad.mul(b, w2))))
+        np.testing.assert_array_equal(a.grad, 1.0 + w1.data)
+        np.testing.assert_array_equal(b.grad, 1.0 + w2.data)
+        np.testing.assert_array_equal(first, np.ones(3))
 
-    def test_leaf_loss_adds_into_its_own_buffer(self):
-        # an optimizer built over t reads the buffer t had when it was built
+    def test_leaf_loss_adds_out_of_place(self):
+        # a loss that is itself a leaf gets a gradient of one per backward,
+        # and an earlier gradient array is never written into
         t = Tensor([2.0], requires_grad=True)
-        buf = t.grad
-        buf[...] = 3.0
         ad.backward(t)
-        assert t.grad is buf
-        np.testing.assert_array_equal(t.grad, [4.0])
+        first = t.grad
+        ad.backward(t)
+        np.testing.assert_array_equal(first, [1.0])
+        np.testing.assert_array_equal(t.grad, [2.0])
 
     def test_backward_releases_op_gradients_and_tape(self):
         model = tiny_model()
@@ -465,11 +475,10 @@ class TestGradientOwnership:
         loss = cross_entropy(forward(model, x, "train-stats")[1], np.array([0, 1, 2, 0]))
         outs = [out for _, _, out, _ in ad.active_graph().nodes]
         leaves = list(model.named_parameters().values())
-        buffers = [t.grad for t in leaves]
         ad.backward(loss)
         assert len(ad.active_graph()) == 0
         assert all(out.grad is None for out in outs)
-        assert all(t.grad is buf for t, buf in zip(leaves, buffers))
+        assert all(t.grad is not None and t.grad.shape == t.shape for t in leaves)
         assert any(np.any(t.grad != 0.0) for t in leaves)
 
     def test_node_off_the_loss_path_never_runs(self):
@@ -552,6 +561,53 @@ class TestBackwardContract:
             assert g.tobytes() == before, f"{op} backward wrote into its g"
             seen.add(op)
         assert seen == EMITTED_OPS
+
+
+class TestFrozenInputs:
+    """The network ops return None for each input that needs no gradient, and
+    the gradients of the others are bitwise the all-trainable ones."""
+
+    @staticmethod
+    def grads(op, inputs, trainable, extra, g):
+        for t, on in zip(inputs, trainable):
+            t.requires_grad = on
+        op(*inputs, *extra)
+        _, _, _, bwd = ad.active_graph().nodes[-1]
+        ad.active_graph().clear()
+        return bwd(g)
+
+    def check(self, op, shapes, extra, out_shape):
+        rng = np.random.default_rng(18)
+        inputs = [Tensor(rng.normal(size=s) + 1.0) for s in shapes]
+        g = rng.normal(size=out_shape)
+        full = self.grads(op, inputs, [True] * len(inputs), extra, g)
+        for trainable in itertools.product([False, True], repeat=len(inputs)):
+            if not any(trainable):
+                continue
+            got = self.grads(op, inputs, trainable, extra, g)
+            for on, a, want in zip(trainable, got, full):
+                if on:
+                    assert a.tobytes() == want.tobytes(), (op.__name__, trainable)
+                else:
+                    assert a is None, (op.__name__, trainable)
+
+    def test_linear(self):
+        self.check(ad.linear, [(4, 3), (5, 3), (5,)], (), (4, 5))
+
+    @pytest.mark.parametrize("stride,padding", [(1, 2), (2, 1)])
+    def test_conv1d(self, stride, padding):
+        out = ad.conv1d(Tensor(np.zeros((2, 3, 11))), Tensor(np.zeros((4, 3, 5))),
+                        Tensor(np.zeros(4)), stride, padding)
+        self.check(ad.conv1d, [(2, 3, 11), (4, 3, 5), (4,)], (stride, padding), out.shape)
+
+    @pytest.mark.parametrize("mode", ["train-stats", "running-stats"])
+    def test_batch_norm1d(self, mode):
+        self.check(ad.batch_norm1d, [(2, 3, 7), (3,), (3,)], (BNState(3), mode), (2, 3, 7))
+
+    def test_op_with_only_frozen_inputs_is_not_recorded(self):
+        x, w, b = Tensor(np.ones((2, 3, 8))), Tensor(np.ones((4, 3, 3))), Tensor(np.zeros(4))
+        ad.conv1d(x, w, b, 1, 1)
+        assert len(ad.active_graph()) == 0
 
 
 class TestRelease:

@@ -18,7 +18,13 @@ from tsadapt.backbone import (
     save_model,
 )
 from tsadapt.data import ShiftSpec, generate_shifted_pair
-from tsadapt.errors import ConfigurationError, ConformanceError, ContractError, LabelRangeError
+from tsadapt.errors import (
+    ConfigurationError,
+    ConformanceError,
+    ContractError,
+    LabelRangeError,
+    NumericDomainError,
+)
 
 from conftest import finite_difference_max_rel_error, tiny_model
 
@@ -208,6 +214,24 @@ class TestPretrain:
         model = tiny_model()
         with pytest.raises(ConfigurationError):
             pretrain_source(model, np.zeros((4, 2, 16)), np.array([0, 1, 2, 0]), **kw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39], ids=["nan", "inf", "beyond-float32"])
+    def test_non_finite_sample_rejected_before_any_step(self, bad):
+        # the caller's model, running statistics included, stays bitwise as it was
+        model = tiny_model().clone(np.float32)
+        x = np.random.default_rng(3).normal(size=(40, 2, 16))
+        x[37, 1, 5] = x[39, 0, 0] = bad
+
+        def model_bytes():
+            arrays = {k: p.data for k, p in model.named_parameters().items()}
+            arrays.update(model.named_buffers())
+            return {k: a.tobytes() for k, a in arrays.items()}
+
+        before = model_bytes()
+        with pytest.raises(NumericDomainError, match="^training sample 37 "):
+            pretrain_source(model, x, np.arange(40) % 3, epochs=2, batch_size=8)
+        assert model_bytes() == before
+        assert len(ad.active_graph()) == 0
 
     def test_negative_model_seed_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -37,8 +37,9 @@ def test_flat_adam_equals_per_tensor_adam_bitwise(dtype, lr):
     opt = Adam(params, lr=lr)
     for step_grads in grads:
         opt.zero_grad()
+        assert all(p.grad is None for p in params)
         for p, g in zip(params, step_grads):
-            p.grad += g
+            p.grad = g
         opt.step()
     expected = reference_adam([p.copy() for p in start], grads, 5, lr)
     assert opt.t == 5
@@ -62,3 +63,29 @@ def test_parameters_of_two_dtypes_are_rejected():
     b = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(ConfigurationError, match="one dtype"):
         Adam([a, b])
+
+
+def test_missing_gradient_reads_as_zeros():
+    # a parameter backward never reached steps as if its gradient were zero
+    rng = np.random.default_rng(1)
+    start = [rng.normal(size=s) for s in SHAPES]
+    grads = [[rng.normal(size=s) for s in SHAPES] for _ in range(3)]
+    for step_grads in grads:
+        step_grads[1] = np.zeros(SHAPES[1])
+    params = [Tensor(p, requires_grad=True) for p in start]
+    opt = Adam(params, lr=1e-3)
+    for step_grads in grads:
+        opt.zero_grad()
+        for i, (p, g) in enumerate(zip(params, step_grads)):
+            if i != 1:
+                p.grad = g
+        opt.step()
+    expected = reference_adam([p.copy() for p in start], grads, 3, 1e-3)
+    assert params[1].grad is None
+    for p, want in zip(params, expected):
+        assert p.data.tobytes() == want.tobytes()
+
+
+def test_frozen_parameters_are_rejected():
+    with pytest.raises(ConfigurationError, match="requires_grad"):
+        Adam([Tensor(np.zeros(2), requires_grad=True), Tensor(np.zeros(2))])
