@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .augment import AugmentSpec
-from .config import Record
+from .config import Record, is_count
 from .errors import ConfigurationError, ContractError, NumericDomainError
 
 
@@ -173,7 +172,10 @@ def contrastive_loss(view_logits, pseudo_labels, tau: float) -> Tensor:
                                             - log sum_{k in neg(i)} exp(cos(p_i, p_k)/tau) ];
     the denominator runs over negatives only. Anchors with no positives or no
     negatives contribute 0. Returns the sum over anchors. The masks, weights
-    and pad are constants in the logits' dtype.
+    and pad are constants in the logits' dtype. When no anchor is valid (one
+    pseudo-label class, as in every B=1 batch) the loss does not depend on
+    the logits: it is an untracked 0.0 in their dtype and nothing is
+    recorded.
     """
     if tau <= 0:
         raise ConfigurationError(f"temperature must be > 0, got {tau}")
@@ -191,6 +193,8 @@ def contrastive_loss(view_logits, pseudo_labels, tau: float) -> Tensor:
     valid = (pos_count > 0) & (neg_count > 0)
 
     dtype = p.data.dtype
+    if not valid.any():
+        return Tensor(np.zeros((), dtype))
     sims = ad.cosine_pairs(p, p)
     scaled = ad.exp(ad.scalar_mul(sims, 1.0 / tau))
     denom = ad.tensor_sum(ad.mul(scaled, Tensor(neg.astype(dtype))), axis=-1)
@@ -229,7 +233,7 @@ class AccupConfig(Record):
     bn_policy: str = "batch"  # batch | running
 
     def __post_init__(self):
-        if not isinstance(self.k_support, Integral) or self.k_support < 1:
+        if not is_count(self.k_support) or self.k_support < 1:
             raise ConfigurationError(f"k_support must be an integer >= 1, got {self.k_support!r}")
         # chained with math.inf, so that NaN and ±Infinity fail each range
         if not 0 < self.eta < math.inf:

@@ -196,7 +196,11 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
 
     The strategy gives the pre-update predictions and its loss, or None
     (source, bn-stats, ACCUP without the contrastive loss). With a loss one
-    backward and one Adam step follow; without one the loss value is 0.0.
+    Adam step follows, after one backward if the loss depends on a
+    parameter. A loss that does not (ACCUP on a one-class batch, so every
+    B=1 batch) costs no backward: the tape is cleared, every gradient stays
+    None, and the step reads them as zeros, exactly as a backward of the
+    all-zero gradient would leave it. Without a loss the value is 0.0.
     Returns (predictions, loss value, state). For every strategy, a batch
     with no rows raises DegenerateBatchError, and any other batch that is
     not (B, model Cin, L) raises ConformanceError ("step N: ...") before it
@@ -231,7 +235,10 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
         loss_value = 0.0
         if loss is not None:
             state.optimizer.zero_grad()
-            ad.backward(loss)
+            if loss.requires_grad:
+                ad.backward(loss)
+            else:
+                ad.active_graph().clear()
             state.optimizer.step()
             loss_value = loss.item()
     state.step += 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .config import Record
+from .config import Record, is_count
 from .errors import ConfigurationError, ContractError
 
 KINDS = ("magnitude-warp", "jitter", "scale", "permutation", "compose", "none")
@@ -39,10 +39,10 @@ class AugmentSpec(Record):
             raise ConfigurationError(f"unknown augmentation kind {self.kind!r}")
         if not 0 <= self.sigma < math.inf:
             raise ConfigurationError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.knots < 2:
-            raise ConfigurationError(f"knots must be >= 2, got {self.knots}")
-        if self.segments < 1:
-            raise ConfigurationError(f"segments must be >= 1, got {self.segments}")
+        if not is_count(self.knots) or self.knots < 2:
+            raise ConfigurationError(f"knots must be an integer >= 2, got {self.knots!r}")
+        if not is_count(self.segments) or self.segments < 1:
+            raise ConfigurationError(f"segments must be an integer >= 1, got {self.segments!r}")
         if self.kind == "compose" and not self.parts:
             raise ConfigurationError("compose needs a non-empty part list")
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BNState, Tensor
-from .config import Record, read_json_object
+from .config import Record, is_count, read_json_object
 from .errors import (
     ConfigurationError,
     ConformanceError,
@@ -69,13 +69,14 @@ class EncoderConfig(Record):
     pool_widths: tuple[int, ...] = (2, 2, 2)
 
     def __post_init__(self):
-        if self.in_channels < 1:
-            raise ContractError("in_channels must be positive")
+        if not is_count(self.in_channels) or self.in_channels < 1:
+            raise ContractError(f"in_channels must be a positive integer, got {self.in_channels!r}")
         for name in ("filters", "kernel_sizes", "strides", "pool_widths"):
-            if len(getattr(self, name)) != 3:
+            counts = getattr(self, name)
+            if len(counts) != 3:
                 raise ContractError(f"{name} must list exactly three blocks")
-            if min(getattr(self, name)) < 1:
-                raise ContractError(f"{name} must all be positive")
+            if not all(is_count(n) and n >= 1 for n in counts):
+                raise ContractError(f"{name} must all be positive integers, got {counts!r}")
 
     @property
     def feature_dim(self) -> int:

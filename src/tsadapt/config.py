@@ -63,6 +63,12 @@ def read_json_object(path, error: type[TsadaptError] = FormatError) -> dict:
     return d
 
 
+def is_count(value) -> bool:
+    """True for an integer that is not a bool: what a count field takes when
+    a config is built in Python, where the JSON reader's checks do not run."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 

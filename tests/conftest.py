@@ -21,13 +21,18 @@ def finite_difference_max_rel_error(loss_fn, tensors, h=1e-5, floor=1e-6):
     train-mode batch norm) in the absolute-error regime instead of comparing
     float noise against float noise. Every checked tensor must be float64:
     a step of h = 1e-5 is below float32's resolution. A tensor backward never
-    reaches keeps grad None, which reads as a zero gradient.
+    reaches keeps grad None, which reads as a zero gradient. A loss that depends on
+    no tensor (requires_grad False, as ACCUP's on a one-class batch) gets no backward,
+    so every gradient reads as zero.
     """
     for t in tensors:
         assert t.data.dtype == np.float64, f"central differences need float64, got {t.data.dtype}"
         t.grad = None
     loss = loss_fn()
-    ad.backward(loss)
+    if loss.requires_grad:
+        ad.backward(loss)
+    else:
+        ad.active_graph().clear()
     grads = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
     worst = 0.0
     for t, g in zip(tensors, grads):

@@ -150,28 +150,41 @@ def test_criterion_02_contrastive_oracle_equivalence():
 def test_criterion_03_gradient_integrity():
     with _report(3, "finite differences on the full adaptation loss over every "
                     "trainable encoder parameter, max rel. error < 1e-4"):
-        model = tiny_model(n_classes=3, in_channels=2, seed=42)
-        rng = np.random.default_rng(303)
-        x_raw = rng.normal(size=(2, 2, 16))
-        config = AccupConfig(k_support=5, eta=20.0, tau=0.7, lr=0.0)
-        x_aug = apply_augment(x_raw, config.augment, np.random.default_rng(7))
+        # B=4 gives two pseudo-label classes and a non-zero loss; B=2 gives
+        # one class, whose loss is a constant 0.0 with a zero gradient. At
+        # B >= 6 the finite-difference round-off on conv-bias coordinates
+        # whose true gradient is 0 reaches the 1e-6 floor.
+        for batch in (4, 2):
+            model = tiny_model(n_classes=3, in_channels=2, seed=42)
+            x_raw = np.random.default_rng(303).normal(size=(batch, 2, 16))
+            config = AccupConfig(k_support=5, eta=20.0, tau=0.7, lr=0.0)
+            x_aug = apply_augment(x_raw, config.augment, np.random.default_rng(7))
 
-        # prototypes frozen from a small warmed-up support set: the loss is
-        # then a pure function of the encoder parameters
-        support = SupportSet.from_classifier(model.cls_weight.data, config.k_support)
-        with ad.no_grad():
-            accup_batch(model, x_raw, x_aug, config, support=support)
-        prototypes = compute_prototypes(support, config.k_support)
+            # prototypes frozen from a small warmed-up support set: the loss
+            # is then a pure function of the encoder parameters
+            support = SupportSet.from_classifier(model.cls_weight.data, config.k_support)
+            with ad.no_grad():
+                accup_batch(model, x_raw, x_aug, config, support=support)
+            prototypes = compute_prototypes(support, config.k_support)
 
-        def loss_fn():
-            _, loss = accup_batch(model, x_raw, x_aug, config,
-                                  prototypes=prototypes)
-            return loss
+            def loss_fn():
+                _, loss = accup_batch(model, x_raw, x_aug, config,
+                                      prototypes=prototypes)
+                return loss
 
-        params = list(model.encoder_parameters().values())
-        n_params = sum(p.size for p in params)
-        err = finite_difference_max_rel_error(loss_fn, params)
-        assert err < 1e-4, f"max rel error {err:.3e} over {n_params} parameters"
+            with ad.no_grad():
+                pseudo, loss = accup_batch(model, x_raw, x_aug, config,
+                                           prototypes=prototypes)
+            if batch == 4:
+                assert len(set(pseudo.tolist())) >= 2, f"one class: {pseudo}"
+                assert loss.item() != 0.0
+            else:
+                assert len(set(pseudo.tolist())) == 1 and loss.item() == 0.0
+
+            params = list(model.encoder_parameters().values())
+            n_params = sum(p.size for p in params)
+            err = finite_difference_max_rel_error(loss_fn, params)
+            assert err < 1e-4, f"B={batch}: max rel error {err:.3e} over {n_params} parameters"
 
 
 def test_criterion_04_entropy_comparison_contract():

@@ -392,6 +392,18 @@ class TestContrastiveLoss:
         loss = contrastive_loss(Tensor(rng.normal(size=(6, 4))), np.zeros(6, dtype=int), 0.7)
         assert loss.item() == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_valid_anchor_is_an_untracked_constant(self, dtype):
+        # one class (every anchor lacks a negative) or one sample per class
+        # (every anchor lacks a positive): the loss depends on no parameter
+        rng = np.random.default_rng(22)
+        for labels in (np.zeros(6, dtype=int), np.array([0, 1])):
+            p = Tensor(rng.normal(size=(len(labels), 3)).astype(dtype), requires_grad=True)
+            loss = contrastive_loss(p, labels, 0.7)
+            assert loss.item() == 0.0 and not loss.requires_grad
+            assert loss.data.dtype == dtype and loss.shape == ()
+            assert len(ad.active_graph()) == 0
+
     def test_no_positives_is_zero(self):
         # one sample, two classes across the two views
         rng = np.random.default_rng(17)

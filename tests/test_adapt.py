@@ -4,6 +4,7 @@ The stream-discipline tests of TestRunStream run every strategy in
 experiment.STRATEGIES through the one loop.
 """
 
+import copy
 import json
 from dataclasses import replace
 
@@ -116,6 +117,38 @@ class TestAdaptBatch:
             adapt_batch(state, target.values[start:start + 32])
             assert state.optimizer.t == i + 1
             assert state.step == i + 1
+
+    def test_one_class_batch_steps_adam_without_a_backward(self, pretrained, shift_data):
+        # a one-class loss is a constant: no backward runs, and the Adam step
+        # reads the None gradients as zeros, as a zero-gradient step would
+        _, target = shift_data
+        state = AdaptState(pretrained.clone(), quiet_config(use_contrast=True, lr=1e-3))
+        preds, loss, _ = adapt_batch(state, target.values[:32])
+        assert len(set(preds.tolist())) >= 2 and loss != 0.0
+        assert any(p.grad is not None for p in state.optimizer.params)
+        twin = copy.deepcopy(state)
+        for p in twin.optimizer.params:
+            p.grad = np.zeros_like(p.data)
+        twin.optimizer.step()
+
+        preds, loss, _ = adapt_batch(state, target.values[32:33])
+        assert preds.shape == (1,) and loss == 0.0
+        assert len(ad.active_graph()) == 0
+        assert all(p.grad is None for p in state.optimizer.params)
+        assert state.optimizer.t == twin.optimizer.t == 2
+        np.testing.assert_array_equal(param_vector(state.model), param_vector(twin.model))
+        np.testing.assert_array_equal(state.optimizer._m, twin.optimizer._m)
+        np.testing.assert_array_equal(state.optimizer._v, twin.optimizer._v)
+
+    def test_batch_of_one_stream_steps_once_per_batch(self, pretrained, shift_data):
+        # both views of a lone sample share its pseudo-label: every batch is
+        # one-class, forward-only, and still takes its Adam step
+        _, target = shift_data
+        state = AdaptState(pretrained.clone(), quiet_config(use_contrast=True, lr=1e-3))
+        for i, batch in enumerate(make_stream(target, 1)[:5]):
+            _, loss, state = adapt_batch(state, batch.values)
+            assert loss == 0.0 and len(ad.active_graph()) == 0
+            assert state.optimizer.t == state.step == i + 1
 
     def test_disabling_contrast_freezes_parameters(self, pretrained, shift_data):
         _, target = shift_data

@@ -32,6 +32,19 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             AugmentSpec(kind="time-travel")
 
+    @pytest.mark.parametrize("kw", [
+        dict(knots=2.5), dict(knots=4.0), dict(knots=True),
+        dict(kind="permutation", segments=2.5), dict(kind="permutation", segments="5"),
+    ])
+    def test_counts_must_be_integers(self, kw):
+        # built in Python, a float count used to pass here and fail inside
+        # the augmentation with TypeError or AxisError
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            AugmentSpec(**kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        AugmentSpec(knots=np.int64(4), segments=np.int32(3))
+
     def test_round_trips_through_dict(self):
         spec = AugmentSpec(kind="compose", parts=(
             AugmentSpec(kind="jitter", sigma=0.3),

@@ -660,8 +660,13 @@ class TestOpSurface:
             return emit(op, *args)
 
         monkeypatch.setattr(ad, "_emit", recording_emit)
+        # a batch with two pseudo-label classes: ACCUP's loss on a one-class
+        # batch is a constant and records nothing
         for config in (AccupConfig(), StrategyConfig("tent"), StrategyConfig("pseudo-label")):
-            adapt_batch(AdaptState(tiny_model(), config, seed=0), target.values[:8])
+            preds, _, _ = adapt_batch(AdaptState(tiny_model(), config, seed=0),
+                                      target.values[8:16])
+            if isinstance(config, AccupConfig):
+                assert len(set(preds.tolist())) >= 2, f"one pseudo-label class: {preds}"
         pretrain_source(tiny_model(), train.values[:16], train.labels[:16], epochs=1,
                         batch_size=8, lr=1e-3, seed=0)
         assert seen == EMITTED_OPS

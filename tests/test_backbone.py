@@ -44,6 +44,21 @@ class TestEncoderConfig:
         with pytest.raises(ContractError, match=name):
             EncoderConfig(in_channels=1, **{name: (2, 0, 2)})
 
+    @pytest.mark.parametrize("name", ["filters", "kernel_sizes", "strides", "pool_widths"])
+    def test_block_sizes_must_be_integers(self, name):
+        for sizes in ((4.5, 6, 6), (2, 2.0, 2), (2, True, 2)):
+            with pytest.raises(ContractError, match=name):
+                EncoderConfig(in_channels=1, **{name: sizes})
+
+    @pytest.mark.parametrize("cin", [1.5, 2.0, True, "2", 0])
+    def test_in_channels_must_be_a_positive_integer(self, cin):
+        with pytest.raises(ContractError, match="in_channels"):
+            EncoderConfig(in_channels=cin)
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = EncoderConfig(in_channels=np.int64(2), filters=tuple(np.arange(4, 7)))
+        assert cfg.feature_dim == 6
+
 
 class TestBlockOrder:
     """encode pools before relu. The usual relu-then-pool block is the same

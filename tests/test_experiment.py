@@ -127,7 +127,7 @@ class TestConfig:
                 ExperimentConfig.from_dict(d)
 
     def test_support_size_must_be_an_integer(self):
-        for k in (2.5, 10.0, "10"):
+        for k in (2.5, 10.0, "10", True):
             with pytest.raises(ConfigurationError):
                 AccupConfig(k_support=k)
 
