@@ -1,11 +1,14 @@
 """Single-pass streaming loop, and the one state and step of every strategy.
 
 Each arriving batch is seen exactly once: predict with the current model,
-then update. `adapt_batch` asks the strategy for its predictions and loss
-(ACCUP: `accup_batch`; a baseline: `baselines.baseline_adapt_batch`) and
-takes at most one backward and one Adam step. Predictions are always the
-pre-update forward. Labels never reach a step function; batches are bare
-value arrays, and `run_stream` uses labels only to score the run.
+then update. `run_stream` pulls one batch from the stream, adapts it and
+records the result before it pulls the next, and holds no earlier batch.
+`adapt_batch` asks the strategy for its predictions and loss (ACCUP:
+`accup_batch`; a baseline: `baselines.baseline_adapt_batch`) and takes at
+most one backward and one Adam step. Predictions are always the pre-update
+forward. Labels never reach a step function; batches are bare value
+arrays, cast to the model's dtype by `backbone.encode` alone, and
+`run_stream` keeps labels only to score the run.
 
 The autodiff tape and its recording switch are process-global, so one
 process runs one adaptation at a time; separate processes may run in
@@ -25,7 +28,7 @@ from . import accup as acc
 from . import autodiff as ad
 from .accup import AccupConfig, SupportSet
 from .augment import apply_augment
-from .backbone import Model, cast, classify, encode
+from .backbone import Model, classify, encode
 from .baselines import StrategyConfig, baseline_adapt_batch
 from .config import Record
 from .errors import ConfigurationError, ConformanceError, ContractError, DegenerateBatchError
@@ -206,10 +209,10 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
     not (B, model Cin, L) raises ConformanceError ("step N: ...") before it
     is augmented. A step that raises leaves the shared tape empty, and a
     NumericDomainError names the stream step ("step N: exp: ..."). The
-    batch and its augmented view are cast to the model's dtype once;
-    augmentation runs on the batch as given, so its random draws do not
-    depend on the dtype. A batch value beyond the float32 range fails the
-    step with NumericDomainError.
+    batch and its augmented view go to the strategy as given, and `encode`
+    casts each to the model's dtype; augmentation runs on the batch as
+    given, so its random draws do not depend on the dtype. A batch value
+    beyond the float32 range fails the step with NumericDomainError.
     """
     if not isinstance(values, np.ndarray):
         raise ContractError(
@@ -222,16 +225,13 @@ def adapt_batch(state: AdaptState, values: np.ndarray):
         raise ConformanceError(
             f"step {state.step}: batch shape {values.shape} does not conform to (B, {cin}, L)"
         )
-    cfg, dtype = state.config, state.model.dtype
+    cfg = state.config
     with ad.active_graph().guard(f"step {state.step}"):
-        x = cast(values, dtype)
         if isinstance(cfg, StrategyConfig):
-            preds, loss = baseline_adapt_batch(state, x)
+            preds, loss = baseline_adapt_batch(state, values)
         else:
-            x_aug = None
-            if cfg.use_augmentation:
-                x_aug = cast(apply_augment(values, cfg.augment, state.rng), dtype)
-            preds, loss = accup_batch(state.model, x, x_aug, cfg, support=state.support)
+            x_aug = apply_augment(values, cfg.augment, state.rng) if cfg.use_augmentation else None
+            preds, loss = accup_batch(state.model, values, x_aug, cfg, support=state.support)
         loss_value = 0.0
         if loss is not None:
             state.optimizer.zero_grad()
@@ -258,31 +258,31 @@ def run_stream(
     One AdaptState is built for the config (an AccupConfig runs ACCUP, a
     StrategyConfig that baseline, which ignores seed and layer_mask), and
     every batch goes through adapt_batch. The input model is never mutated
-    (AdaptState adapts a copy). Stream items may be bare value arrays or
-    objects with .values/.labels; labels, when present on every batch, are
-    used only to score the collected predictions afterwards.
+    (AdaptState adapts a copy). A stream item is an object with .values, a
+    (B, Cin, L) array, and .labels, an integer array or None, such as a
+    `data.TimeSeriesBatch`; an item without .values raises ContractError
+    naming its index, and a stream that yields no item raises it after the
+    loop. The stream is consumed lazily: item i+1 is pulled only after item
+    i has been adapted and recorded, and only its labels are kept, to score
+    the predictions when every item has them. `wall_ms` spans the whole
+    loop, so it includes the time the stream takes to produce its items.
     """
-    batches = list(stream)
-    if not batches:
-        raise ContractError("empty stream")
-    values, labels = [], []
-    for b in batches:
-        if isinstance(b, np.ndarray):
-            values.append(b)
-            labels.append(None)
-        else:
-            values.append(np.asarray(b.values, dtype=np.float64))
-            labels.append(None if b.labels is None else np.asarray(b.labels))
-
     state = AdaptState(model, config, layer_mask, seed)
     strategy = config.kind if isinstance(config, StrategyConfig) else "accup"
     record = RunRecord(strategy=strategy, seed=seed, config_hash=config_hash)
+    labels = []
     start = time.perf_counter()
-    for v in values:
-        preds, loss_value, state = adapt_batch(state, v)
+    for i, item in enumerate(stream):
+        values = getattr(item, "values", None)
+        if values is None:
+            raise ContractError(f"stream item {i} has no .values: {type(item).__name__}")
+        preds, loss_value, state = adapt_batch(state, values)
         record.batch_predictions.append(preds.tolist())
         record.batch_losses.append(loss_value)
+        labels.append(getattr(item, "labels", None))
     record.wall_ms = (time.perf_counter() - start) * 1e3
+    if not labels:
+        raise ContractError("empty stream")
     if all(l is not None for l in labels):
         record.report = macro_f1(
             record.all_predictions(), np.concatenate(labels), model.n_classes

@@ -13,7 +13,6 @@ pseudo-label bn-stats forward, then one cross-entropy step against the
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +44,11 @@ class StrategyConfig(Record):
 
 def baseline_adapt_batch(state, values: np.ndarray):
     """(predictions, loss tensor or None) of one batch for an
-    `adapt.AdaptState` over a StrategyConfig. Source and bn-stats run their
-    forward under no_grad and have no loss."""
+    `adapt.AdaptState` over a StrategyConfig. Source and bn-stats have no
+    loss; their state owns no parameter, so their forward records nothing."""
     kind = state.config.kind
     bn_mode = "running-stats" if kind == "source" else "train-stats"
-    with nullcontext() if state.config.takes_step() else ad.no_grad():
-        _, logits = forward(state.model, values, bn_mode=bn_mode)
+    _, logits = forward(state.model, values, bn_mode=bn_mode)
     preds = logits.data.argmax(axis=1)
     if kind == "tent":
         ls = ad.log_softmax(logits)

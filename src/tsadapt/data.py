@@ -86,11 +86,11 @@ class DatasetMeta(Record):
         return cls(name, c, k, l, n_train, n_test)
 
 
-def _record_dtype(cin: int, length: int) -> np.dtype:
+def _record_dtype(where, cin: int, length: int) -> np.dtype:
     try:
         return np.dtype([("label", "<i4"), ("values", "<f4", (cin, length))])
     except ValueError:
-        raise FormatError(f"record shape ({cin}, {length}) is too large") from None
+        raise FormatError(f"{where}: record shape ({cin}, {length}) is too large") from None
 
 
 def _check_values(where, values: np.ndarray, dtype) -> None:
@@ -115,7 +115,7 @@ def save_split(path, batch: TimeSeriesBatch, n_classes: int) -> None:
     must be a finite float32."""
     _check_split(path, batch, n_classes)
     b, cin, length = batch.values.shape
-    records = np.empty(b, dtype=_record_dtype(cin, length))
+    records = np.empty(b, dtype=_record_dtype(path, cin, length))
     records["label"] = batch.labels
     records["values"] = batch.values
     with open(path, "wb") as f:
@@ -126,59 +126,61 @@ def save_split(path, batch: TimeSeriesBatch, n_classes: int) -> None:
 
 def load_split(path, meta: DatasetMeta | None = None) -> TimeSeriesBatch:
     """Read one split; validates format, shape against meta, and label range.
-    The declared record count is checked against the file before reading."""
+    The declared record count is checked against the file before reading.
+    Every error names the file."""
 
     def take(f, n, what):
         left = os.fstat(f.fileno()).st_size - f.tell()
         if n > left:
-            raise FormatError(f"container truncated while reading {what}: "
+            raise FormatError(f"{path}: container truncated while reading {what}: "
                               f"{n} bytes needed, {left} left")
         return f.read(n)
 
     with open(path, "rb") as f:
         if take(f, 4, "magic") != _MAGIC:
-            raise FormatError("bad magic: not a TTSD container")
+            raise FormatError(f"{path}: bad magic: not a TTSD container")
         version, cin, n_classes, length, n = struct.unpack("<IIIIQ", take(f, 24, "header"))
         if version != _VERSION:
-            raise FormatError(f"unsupported container version {version}")
+            raise FormatError(f"{path}: unsupported container version {version}")
         if meta is not None and (cin, n_classes, length) != (
             meta.channels, meta.classes, meta.length
         ):
             raise ConformanceError(
-                f"container declares ({cin}, {n_classes}, {length}), metadata "
+                f"{path}: container declares ({cin}, {n_classes}, {length}), metadata "
                 f"expects ({meta.channels}, {meta.classes}, {meta.length})"
             )
         block = take(f, n * (4 + 4 * cin * length), f"{n} records")
-        records = np.frombuffer(block, dtype=_record_dtype(cin, length))
+        records = np.frombuffer(block, dtype=_record_dtype(path, cin, length))
     values = np.ascontiguousarray(records["values"], dtype=np.float64)
     _check_values(path, values, np.float32)
     labels = records["label"].astype(np.intp)
     if n and (labels.min() < 0 or labels.max() >= n_classes):
         raise LabelRangeError(
-            f"label {labels.max()} out of range for {n_classes} classes"
+            f"{path}: label {labels.max()} out of range for {n_classes} classes"
         )
     return TimeSeriesBatch(values, labels)
 
 
 def load_csv_split(path, meta: DatasetMeta) -> TimeSeriesBatch:
-    """CSV import: one row per sample, label first, then Cin*L values."""
+    """CSV import: one row per sample, label first, then Cin*L values. Every
+    error names the file."""
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as err:
-        raise FormatError(f"malformed CSV split: {err}") from None
+        raise FormatError(f"{path}: malformed CSV split: {err}") from None
     _check_values(path, table, np.float64)
     expected = 1 + meta.channels * meta.length
     if table.shape[1] != expected:
         raise ConformanceError(
-            f"CSV rows have {table.shape[1]} columns, expected {expected}"
+            f"{path}: CSV rows have {table.shape[1]} columns, expected {expected}"
         )
     labels = table[:, 0]
     if np.any(labels != np.round(labels)):
-        raise FormatError("CSV labels must be integers")
+        raise FormatError(f"{path}: CSV labels must be integers")
     labels = labels.astype(np.intp)
     if len(labels) and (labels.min() < 0 or labels.max() >= meta.classes):
         raise LabelRangeError(
-            f"label {labels.max()} out of range for {meta.classes} classes"
+            f"{path}: label {labels.max()} out of range for {meta.classes} classes"
         )
     values = table[:, 1:].reshape(-1, meta.channels, meta.length)
     return TimeSeriesBatch(values, labels)
@@ -260,6 +262,9 @@ class ShiftSpec(Record):
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
+        if len(self.class_freqs) < 2:
+            raise ConfigurationError(
+                f"need at least two class frequencies, got {len(self.class_freqs)}")
         if len(set(self.class_freqs)) != len(self.class_freqs):
             raise ConfigurationError("class frequencies must be distinct")
         if self.class_phases is not None and len(self.class_phases) != len(self.class_freqs):
@@ -347,6 +352,8 @@ def generate_shifted_pair(
     for name, n in (("n_source", n_source), ("n_target", n_target)):
         if n < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {n}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     source = _synthesize(spec_source, n_source, rng)
     target = _synthesize(spec_target, n_target, rng)

@@ -71,6 +71,10 @@ class SyntheticData(Record):
     n_target: int = 1600
     gen_seed: int = 0
 
+    def __post_init__(self):
+        if self.gen_seed < 0:
+            raise ConfigurationError(f"gen_seed must be >= 0, got {self.gen_seed}")
+
 
 @dataclass
 class DirectoryData(Record):

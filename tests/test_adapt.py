@@ -6,6 +6,7 @@ experiment.STRATEGIES through the one loop.
 
 import copy
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -405,6 +406,52 @@ class TestRunStream:
 
             run_stream(pretrained, stream(), stepping_config(strategy), seed=0)
             assert consumed == [0, 1, 2, 3], strategy
+
+    @pytest.mark.parametrize("strategy", ["source", "tent", "accup"])
+    def test_pulls_each_batch_after_the_previous_step(self, strategy, pretrained, shift_data,
+                                                      monkeypatch):
+        _, target = shift_data
+        events = []
+
+        def stream():
+            for i, batch in enumerate(make_stream(target, 32)[:4]):
+                events.append(("pull", i))
+                yield batch
+
+        step = adapt.adapt_batch
+
+        def stepped(state, values):
+            out = step(state, values)
+            events.append(("step", state.step - 1))
+            return out
+
+        monkeypatch.setattr(adapt, "adapt_batch", stepped)
+        run_stream(pretrained, stream(), stepping_config(strategy), seed=0)
+        assert events == [(kind, i) for i in range(4) for kind in ("pull", "step")]
+
+    def test_earlier_batches_are_released(self, pretrained, shift_data):
+        _, target = shift_data
+        for strategy in STRATEGIES:
+            refs = []
+
+            def stream():
+                for batch in make_stream(target, 32)[:5]:
+                    # batch i may still be bound while batch i+1 is produced
+                    alive = [j for j, r in enumerate(refs[:-1]) if r() is not None]
+                    assert alive == [], f"{strategy}: batches {alive} alive at pull {len(refs)}"
+                    fresh = TimeSeriesBatch(batch.values.copy(), batch.labels.copy())
+                    refs.append(weakref.ref(fresh.values))
+                    yield fresh
+
+            record = run_stream(pretrained, stream(), stepping_config(strategy), seed=0)
+            assert len(refs) == 5 and record.macro_f1 is not None, strategy
+
+    def test_item_without_values_is_named(self, pretrained, shift_data):
+        _, target = shift_data
+        batch = make_stream(target, 32)[0]
+        for item in (batch.values, None):
+            with pytest.raises(ContractError, match="stream item 1"):
+                run_stream(pretrained, [batch, item], quiet_config())
 
     def test_labels_only_affect_scoring(self, pretrained, shift_data):
         _, target = shift_data

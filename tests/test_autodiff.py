@@ -374,6 +374,17 @@ class TestBackward:
             ad.backward(ad.mul(x, x))
         ad.active_graph().clear()
 
+    def test_loss_off_the_tape_rejected(self):
+        # a constant, or an op output recorded under no_grad, has no graph to
+        # differentiate; the caller must skip backward for it
+        x = Tensor([1.0], requires_grad=True)
+        with ad.no_grad():
+            untracked = ad.tensor_sum(ad.mul(x, x))
+        for loss in (Tensor(0.0), untracked):
+            with pytest.raises(ContractError, match="not connected"):
+                ad.backward(loss)
+        assert x.grad is None and len(ad.active_graph()) == 0
+
     def test_graph_cleared_after_backward(self):
         x = Tensor([1.0], requires_grad=True)
         ad.backward(ad.tensor_sum(ad.mul(x, x)))

@@ -54,6 +54,14 @@ class TestGenerateData:
         assert not out.exists()
 
 
+    def test_negative_seed_is_exit_2(self, tmp_path, capsys):
+        # numpy's default_rng used to raise a bare ValueError: a traceback, exit 1
+        out = tmp_path / "data"
+        assert main(["generate-data", "--out", str(out), "--n-source", "8",
+                     "--n-target", "8", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_values_beyond_float32_are_exit_3(self, tmp_path, capsys):
         # the float32 cast used to write a directory of infs and exit 0
         out = tmp_path / "data"
@@ -110,6 +118,26 @@ class TestPretrain:
                      "--epochs", "1", flag, value])
         assert code == 2
         assert not out.exists()
+
+    def test_profile_sets_the_shape(self, tmp_path, capsys):
+        from tsadapt.data import DatasetMeta, TimeSeriesBatch, save_dataset
+
+        rng = np.random.default_rng(0)
+        split = TimeSeriesBatch(rng.normal(size=(12, 9, 128)).astype(np.float32),
+                                np.arange(12) % 6)
+        data = tmp_path / "har"
+        # meta.json disagrees; --profile wins over it
+        save_dataset(data, split, split, DatasetMeta("custom", 9, 6, 128))
+        (data / "meta.json").write_text(json.dumps({"channels": 1, "classes": 2,
+                                                    "length": 128}))
+        out = tmp_path / "model.ttaw"
+        assert main(["pretrain", "--data", str(data), "--out", str(out), "--epochs", "1",
+                     "--profile", "ucihar"]) == 0
+        sidecar = json.loads((tmp_path / "model.ttaw.json").read_text())
+        assert sidecar["encoder"]["in_channels"] == 9 and sidecar["n_classes"] == 6
+        assert main(["pretrain", "--data", str(data), "--out", str(tmp_path / "m.ttaw"),
+                     "--epochs", "1", "--profile", "mfd"]) == 3
+        assert str(data / "train.ttsd") in capsys.readouterr().err
 
     def test_missing_data_dir_is_exit_3(self, tmp_path):
         code = main([
@@ -221,6 +249,24 @@ class TestAdapt:
         ])
         assert code == 0
 
+    def test_csv_directory_runs_like_the_containers(self, dataset_dir, tmp_path):
+        from tsadapt.data import load_dataset, load_meta
+
+        data = tmp_path / "csv"
+        data.mkdir()
+        shutil.copy(dataset_dir / "meta.json", data / "meta.json")
+        for name, split in zip(("train", "test"),
+                               load_dataset(dataset_dir, load_meta(dataset_dir))):
+            rows = np.column_stack([split.labels, split.values.reshape(len(split), -1)])
+            np.savetxt(data / f"{name}.csv", rows, delimiter=",")
+        scores = []
+        for directory in (dataset_dir, data):
+            out = tmp_path / directory.name
+            assert main(["adapt", "--data", str(directory), "--out", str(out),
+                         "--strategy", "source", "--seeds", "0", "--epochs", "1"]) == 0
+            scores.append(json.loads((out / "summary.json").read_text())["report"])
+        assert scores[0] == scores[1]
+
     def test_zero_batch_size_is_exit_2(self, dataset_dir, tmp_path):
         code = main([
             "adapt", "--data", str(dataset_dir), "--out", str(tmp_path / "x"),
@@ -326,6 +372,22 @@ class TestAdapt:
         assert main(["adapt", "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (["data.gen_seed"], -1, "data: gen_seed must be >= 0"),
+        (["data.source.class_freqs", "data.target.class_freqs"], [],
+         "data.source: need at least two class frequencies"),
+    ], ids=["negative-gen-seed", "no-class-frequencies"])
+    def test_out_of_range_generator_is_exit_2(self, tmp_path, capsys, keys, value, message):
+        # these used to end in a ValueError and a ZeroDivisionError traceback
+        config = ExperimentConfig(output_dir=str(tmp_path / "runs")).to_dict()
+        for key in keys:
+            set_dotted(config, key, value)
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(config))
+        assert main(["adapt", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_data_overrides_the_config_file(self, dataset_dir, tmp_path):
         # --data used to be ignored whenever --config was given

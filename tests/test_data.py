@@ -1,6 +1,7 @@
 """Container format, CSV import, and synthetic generator tests."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -34,6 +35,17 @@ def small_batch(rng, n=10, cin=2, length=16, classes=3):
     values = rng.normal(size=(n, cin, length)).astype(np.float32).astype(np.float64)
     labels = rng.integers(0, classes, size=n)
     return TimeSeriesBatch(values, labels)
+
+
+def container(labels=(0, 1), version=1, cin=2, classes=3, length=16, magic=b"TTSD"):
+    """The bytes of a split file, built field by field."""
+    records = b"".join(struct.pack("<i", y) + np.zeros(cin * length, "<f4").tobytes()
+                       for y in labels)
+    return magic + struct.pack("<IIIIQ", version, cin, classes, length, len(labels)) + records
+
+
+def csv_rows(*labels, values=32):
+    return "".join(f"{y}," + ",".join(["0.5"] * values) + "\n" for y in labels)
 
 
 class TestDatasetMeta:
@@ -95,6 +107,12 @@ class TestContainer:
         record = struct.pack("<i", 0) + np.zeros(32, "<f4").tobytes()
         path.write_bytes(b"TTSD" + struct.pack("<IIIIQ", 1, 2, 3, 16, 2**40) + record)
         with pytest.raises(FormatError, match="truncated while reading 1099511627776 records"):
+            load_split(path)
+
+    def test_oversized_record_shape_names_the_file(self, tmp_path):
+        path = tmp_path / "split.ttsd"
+        path.write_bytes(container(labels=(), cin=2**31, length=2**31))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: record shape"):
             load_split(path)
 
     def test_bad_magic(self, tmp_path):
@@ -176,6 +194,34 @@ class TestContainer:
             load_dataset(tmp_path / "empty", DatasetMeta("custom", 2, 3, 16))
 
 
+class TestSplitErrorsNameTheFile:
+    @pytest.mark.parametrize("name, content, error", [
+        ("test.ttsd", container()[:-17], FormatError),
+        ("test.ttsd", container(magic=b"WAT?"), FormatError),
+        ("test.ttsd", container(version=9), FormatError),
+        ("test.ttsd", container(length=8), ConformanceError),
+        ("test.ttsd", container(labels=(0, 3)), LabelRangeError),
+        ("test.csv", "0,1,x\n", FormatError),
+        ("test.csv", csv_rows(0, values=31), ConformanceError),
+        ("test.csv", csv_rows(0, 1.5), FormatError),
+        ("test.csv", csv_rows(0, 3), LabelRangeError),
+    ], ids=["truncated", "bad-magic", "version", "meta-mismatch", "label-range",
+            "csv-parse", "csv-columns", "csv-non-integer-label", "csv-label-range"])
+    def test_error_names_the_split(self, tmp_path, name, content, error):
+        # the error used to say what was wrong but not which split held it
+        meta = DatasetMeta("custom", 2, 3, 16)
+        save_split(tmp_path / "train.ttsd", small_batch(np.random.default_rng(0)), 3)
+        path = tmp_path / name
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            path.write_bytes(content)
+        with pytest.raises(error) as err:
+            load_dataset(tmp_path, meta)
+        assert str(err.value).startswith(f"{path}: ")
+        assert err.value.exit_code == 3
+
+
 class TestCsvImport:
     def test_round_trip_through_csv(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -233,6 +279,17 @@ class TestShiftSpec:
         with pytest.raises(ConfigurationError, match=name):
             generate_shifted_pair(ShiftSpec(), ShiftSpec(), sizes, seed=0)
 
+    @pytest.mark.parametrize("freqs", [(), (2.0,)])
+    def test_fewer_than_two_classes_rejected(self, freqs):
+        # no class frequencies used to divide by zero in probs()
+        with pytest.raises(ConfigurationError, match="two class frequencies"):
+            ShiftSpec(class_freqs=freqs)
+
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng used to raise a bare ValueError
+        with pytest.raises(ConfigurationError, match="seed"):
+            generate_shifted_pair(ShiftSpec(), ShiftSpec(), (8, 8), seed=-1)
+
     def test_mismatched_specs_rejected(self):
         a = ShiftSpec(class_freqs=(2.0, 5.0))
         b = ShiftSpec(class_freqs=(2.0, 6.0))
@@ -266,6 +323,21 @@ class TestGenerator:
         src, _ = generate_shifted_pair(spec, spec, (100, 8), seed=2)
         counts = np.bincount(src.labels, minlength=3)
         np.testing.assert_array_equal(counts, [70, 20, 10])
+
+    def test_per_channel_amplitude_scales_each_channel(self):
+        quiet = dict(channels=2, noise_std=0.0)
+        _, scalar = generate_shifted_pair(ShiftSpec(), ShiftSpec(amplitude=1.0, **quiet),
+                                          (8, 16), seed=4)
+        _, tupled = generate_shifted_pair(ShiftSpec(), ShiftSpec(amplitude=(1.0, 3.0), **quiet),
+                                          (8, 16), seed=4)
+        np.testing.assert_array_equal(tupled.labels, scalar.labels)
+        np.testing.assert_array_equal(tupled.values[:, 0], scalar.values[:, 0])
+        np.testing.assert_array_equal(tupled.values[:, 1], 3.0 * scalar.values[:, 1])
+
+    def test_amplitude_needs_one_factor_per_channel(self):
+        spec = ShiftSpec(channels=2, amplitude=(1.0, 2.0, 3.0))
+        with pytest.raises(ConfigurationError, match="one factor per channel"):
+            generate_shifted_pair(spec, spec, (8, 8), seed=0)
 
     def test_values_finite_and_shaped(self):
         spec = ShiftSpec(channels=3, length=40)
