@@ -12,15 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .accup import AccupConfig
-from .backbone import EncoderConfig, Model, pretrain_source, save_model
-from .data import (
-    DatasetMeta,
-    ShiftSpec,
-    generate_shifted_pair,
-    load_dataset,
-    load_meta,
-    save_dataset,
-)
+from .backbone import save_model
+from .data import DatasetMeta, ShiftSpec, generate_shifted_pair, load_meta, save_dataset
 from .errors import ConfigurationError, FormatError, TsadaptError
 from .experiment import (
     ABLATION_PRESETS,
@@ -28,6 +21,8 @@ from .experiment import (
     STRATEGIES,
     DirectoryData,
     ExperimentConfig,
+    _build_model,
+    _load_splits,
     apply_preset,
     run_experiment,
     run_sweep,
@@ -42,7 +37,8 @@ def _add_accup_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-support", type=int, default=None)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", type=float, default=None,
+                   help="ACCUP's lr, or baseline_lr under a baseline strategy")
     p.add_argument("--ensemble-weight", type=float, default=None)
     p.add_argument("--bn-policy", choices=("batch", "running"), default=None)
 
@@ -61,28 +57,16 @@ def _accup_from_args(args, base: AccupConfig | None = None) -> AccupConfig:
     return AccupConfig.from_dict({**cfg.to_dict(), **overrides}) if overrides else cfg
 
 
-def _meta_from_args(args) -> DatasetMeta:
-    """Shape of a pretraining directory: --profile, else explicit flags over
-    the directory's meta.json, else (2 channels, 3 classes, length 64)."""
-    if args.profile:
-        return DatasetMeta.profile(args.profile)
-    if (Path(args.data) / "meta.json").exists():
-        meta = load_meta(args.data)
-    else:
-        meta = DatasetMeta("custom", 2, 3, 64)
-    flags = {name: getattr(args, name) for name in ("channels", "classes", "length")
-             if getattr(args, name) is not None}
-    return replace(meta, name="custom", **flags) if flags else meta
-
-
 def cmd_pretrain(args) -> int:
-    meta = _meta_from_args(args)
-    train, _ = load_dataset(args.data, meta)
-    # the encoder an experiment pretrains when it is given no --model
-    enc = EncoderConfig.from_dict({"in_channels": meta.channels, **ExperimentConfig().encoder})
-    model = Model(enc, meta.classes, seed=args.seed)
-    pretrain_source(model, train.values, train.labels, epochs=args.epochs,
-                    batch_size=args.batch, lr=args.pretrain_lr, seed=args.seed)
+    """Pretrain and save the source model that `tsadapt adapt --data DIR
+    --seeds SEED` builds: the same directory reading, encoder and training,
+    so the snapshot is the `model_seed<SEED>.ttaw` that adapt saves."""
+    config = ExperimentConfig(
+        data=DirectoryData(path=args.data, meta=load_meta(args.data)), seeds=(args.seed,),
+        pretrain_epochs=args.epochs, pretrain_batch=args.batch, pretrain_lr=args.pretrain_lr,
+    )
+    train, _ = _load_splits(config)
+    model = _build_model(config, train, config.data.meta.classes, args.seed)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_model(args.out, model)
     print(f"saved model snapshot to {args.out}")
@@ -144,7 +128,14 @@ def _experiment_from_args(args) -> ExperimentConfig:
         overrides["output_dir"] = args.out
     if overrides:
         config = replace(config, **overrides)
-    return replace(config, accup=_accup_from_args(args, config.accup))
+    if config.strategy == "accup":
+        return replace(config, accup=_accup_from_args(args, config.accup))
+    for name in ("preset", "ablation", "k_support", "eta", "tau", "ensemble_weight",
+                 "bn_policy"):
+        if getattr(args, name) is not None:
+            raise ConfigurationError(f"--{name.replace('_', '-')} is an ACCUP flag, and "
+                                     f"strategy {config.strategy!r} does not run ACCUP")
+    return config if args.lr is None else replace(config, baseline_lr=args.lr)
 
 
 def cmd_adapt(args) -> int:
@@ -196,16 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pretrain", help="train a source model on a dataset directory")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--profile", choices=sorted(("ucihar", "mfd", "ssc")), default=None)
-    p.add_argument("--channels", type=int, default=None,
-                   help="default: the directory's meta.json, else 2")
-    p.add_argument("--classes", type=int, default=None,
-                   help="default: the directory's meta.json, else 3")
-    p.add_argument("--length", type=int, default=None,
-                   help="default: the directory's meta.json, else 64")
+    p = sub.add_parser(
+        "pretrain", help="train a source model on a dataset directory",
+        description="Pretrain the source model that `adapt --data DIR --seeds SEED` "
+                    "builds and save it; the snapshot equals adapt's model_seed<SEED>.ttaw.")
+    p.add_argument("--data", required=True,
+                   help="dataset directory; its meta.json gives the shape")
+    p.add_argument("--out", required=True, help="snapshot path")
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--pretrain-lr", type=float, default=1e-3)

@@ -78,13 +78,6 @@ class DatasetMeta(Record):
                 f"({self.channels}, {self.classes}, {self.length})"
             )
 
-    @classmethod
-    def profile(cls, name: str, n_train: int = 0, n_test: int = 0) -> "DatasetMeta":
-        if name not in PROFILES:
-            raise ConfigurationError(f"unknown dataset profile {name!r}")
-        c, k, l = PROFILES[name]
-        return cls(name, c, k, l, n_train, n_test)
-
 
 def _record_dtype(where, cin: int, length: int) -> np.dtype:
     try:
@@ -269,6 +262,10 @@ class ShiftSpec(Record):
             raise ConfigurationError("class frequencies must be distinct")
         if self.class_phases is not None and len(self.class_phases) != len(self.class_freqs):
             raise ConfigurationError("need one phase per class")
+        if np.shape(self.amplitude) not in ((), (self.channels,)):
+            raise ConfigurationError(
+                f"amplitude must be scalar or one factor per channel, got "
+                f"{np.shape(self.amplitude)}")
         if self.noise_std < 0:
             raise ConfigurationError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.class_probs is not None:
@@ -281,14 +278,7 @@ class ShiftSpec(Record):
         return len(self.class_freqs)
 
     def amplitudes(self) -> np.ndarray:
-        a = np.asarray(self.amplitude, dtype=np.float64)
-        if a.ndim == 0:
-            return np.full(self.channels, float(a))
-        if a.shape != (self.channels,):
-            raise ConfigurationError(
-                f"amplitude must be scalar or one factor per channel, got {a.shape}"
-            )
-        return a
+        return np.full(self.channels, self.amplitude, dtype=np.float64)
 
     def probs(self) -> np.ndarray:
         if self.class_probs is None:

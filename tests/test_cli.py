@@ -1,14 +1,17 @@
 """Command-line surface: subcommands, flags, and exit codes."""
 
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsadapt.cli import main
+from tsadapt.cli import build_parser, main
 from tsadapt.experiment import ExperimentConfig
 
 from conftest import (
@@ -91,12 +94,6 @@ class TestPretrain:
         sidecar = json.loads((tmp_path / "model.ttaw.json").read_text())
         assert sidecar["encoder"]["in_channels"] == 1
 
-    def test_explicit_flags_override_meta_json(self, dataset_dir, tmp_path):
-        # the directory holds 2x64 series; a flag that disagrees must win and fail
-        code = main(["pretrain", "--data", str(dataset_dir), "--out",
-                     str(tmp_path / "m.ttaw"), "--epochs", "1", "--length", "32"])
-        assert code == 3
-
     def test_default_encoder_is_the_experiment_default(self, dataset_dir, tmp_path):
         from tsadapt.experiment import ExperimentConfig
 
@@ -119,25 +116,41 @@ class TestPretrain:
         assert code == 2
         assert not out.exists()
 
-    def test_profile_sets_the_shape(self, tmp_path, capsys):
-        from tsadapt.data import DatasetMeta, TimeSeriesBatch, save_dataset
-
+    def test_directory_without_meta_json_is_exit_3(self, tmp_path, capsys):
+        # a row of 1 + 128 columns also reads as 1 + 2*64: this directory of
+        # 1x128 series used to pretrain as a 2-channel, length-64 model
+        data = tmp_path / "csv"
+        data.mkdir()
         rng = np.random.default_rng(0)
-        split = TimeSeriesBatch(rng.normal(size=(12, 9, 128)).astype(np.float32),
-                                np.arange(12) % 6)
+        rows = np.column_stack([np.arange(12) % 3, rng.normal(size=(12, 128))])
+        for name in ("train", "test"):
+            np.savetxt(data / f"{name}.csv", rows, delimiter=",")
+        out = tmp_path / "m.ttaw"
+        assert main(["pretrain", "--data", str(data), "--out", str(out), "--epochs", "1"]) == 3
+        assert str(data / "meta.json") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_profile_name_checks_the_shape(self, dataset_dir, tmp_path, capsys):
         data = tmp_path / "har"
-        # meta.json disagrees; --profile wins over it
-        save_dataset(data, split, split, DatasetMeta("custom", 9, 6, 128))
-        (data / "meta.json").write_text(json.dumps({"channels": 1, "classes": 2,
-                                                    "length": 128}))
+        shutil.copytree(dataset_dir, data)
+        (data / "meta.json").write_text(json.dumps({"name": "ucihar", "channels": 2,
+                                                    "classes": 3, "length": 64}))
+        out = tmp_path / "m.ttaw"
+        assert main(["pretrain", "--data", str(data), "--out", str(out), "--epochs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert str(data / "meta.json") in err and "ucihar profile is (9, 6, 128)" in err
+        assert not out.exists()
+
+    def test_snapshot_is_the_one_adapt_saves(self, dataset_dir, tmp_path):
         out = tmp_path / "model.ttaw"
-        assert main(["pretrain", "--data", str(data), "--out", str(out), "--epochs", "1",
-                     "--profile", "ucihar"]) == 0
-        sidecar = json.loads((tmp_path / "model.ttaw.json").read_text())
-        assert sidecar["encoder"]["in_channels"] == 9 and sidecar["n_classes"] == 6
-        assert main(["pretrain", "--data", str(data), "--out", str(tmp_path / "m.ttaw"),
-                     "--epochs", "1", "--profile", "mfd"]) == 3
-        assert str(data / "train.ttsd") in capsys.readouterr().err
+        assert main(["pretrain", "--data", str(dataset_dir), "--out", str(out),
+                     "--epochs", "2", "--seed", "1"]) == 0
+        runs = tmp_path / "runs"
+        assert main(["adapt", "--data", str(dataset_dir), "--out", str(runs),
+                     "--strategy", "source", "--seeds", "1", "--epochs", "2"]) == 0
+        assert out.read_bytes() == (runs / "model_seed1.ttaw").read_bytes()
+        assert ((tmp_path / "model.ttaw.json").read_bytes()
+                == (runs / "model_seed1.ttaw.json").read_bytes())
 
     def test_missing_data_dir_is_exit_3(self, tmp_path):
         code = main([
@@ -179,6 +192,34 @@ class TestAdapt:
             "--preset", "ucihar",
         ])
         assert code == 0
+
+    def test_lr_is_the_baseline_lr_under_a_baseline(self, dataset_dir, tmp_path):
+        # --lr used to set accup.lr only, so tent ran at baseline_lr 1e-3
+        runs = {}
+        for strategy, extra in (("tent", ["--lr", "0"]), ("bn-stats", [])):
+            out = tmp_path / strategy
+            assert main(["adapt", "--data", str(dataset_dir), "--out", str(out),
+                         "--strategy", strategy, "--seeds", "0", "--epochs", "1"] + extra) == 0
+            runs[strategy] = json.loads((out / "summary.json").read_text())
+        assert runs["tent"]["config"]["baseline_lr"] == 0.0
+        # tent at lr 0 only updates BN statistics: bn-stats's predictions
+        assert (runs["tent"]["records"][0]["batch_predictions"]
+                == runs["bn-stats"]["records"][0]["batch_predictions"])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--preset", "ucihar"), ("--ablation", "no-contrast"), ("--k-support", "5"),
+        ("--eta", "1"), ("--tau", "0.5"), ("--ensemble-weight", "0.5"),
+        ("--bn-policy", "running"),
+    ])
+    def test_accup_flag_under_a_baseline_is_exit_2(self, dataset_dir, tmp_path, capsys,
+                                                   flag, value):
+        # these flags used to be written into accup and ignored by the run
+        out = tmp_path / "tent"
+        assert main(["adapt", "--data", str(dataset_dir), "--out", str(out),
+                     "--strategy", "tent", "--seeds", "0", "--epochs", "1", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "'tent'" in err
+        assert not out.exists()
 
     def test_bad_tau_is_exit_2(self, dataset_dir, tmp_path):
         code = main([
@@ -377,7 +418,9 @@ class TestAdapt:
         (["data.gen_seed"], -1, "data: gen_seed must be >= 0"),
         (["data.source.class_freqs", "data.target.class_freqs"], [],
          "data.source: need at least two class frequencies"),
-    ], ids=["negative-gen-seed", "no-class-frequencies"])
+        (["data.target.amplitude"], [1.0, 2.0, 3.0],
+         "data.target: amplitude must be scalar or one factor per channel, got (3,)"),
+    ], ids=["negative-gen-seed", "no-class-frequencies", "three-amplitudes-two-channels"])
     def test_out_of_range_generator_is_exit_2(self, tmp_path, capsys, keys, value, message):
         # these used to end in a ValueError and a ZeroDivisionError traceback
         config = ExperimentConfig(output_dir=str(tmp_path / "runs")).to_dict()
@@ -593,6 +636,22 @@ class TestReport:
 
     def test_directory_is_exit_3(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 3
+
+
+def test_readme_commands_parse():
+    # a flag the CLI no longer has must not stay in the docs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("tsadapt ")]
+    parser = build_parser()
+    commands = set()
+    for line in lines:
+        try:
+            commands.add(parser.parse_args(shlex.split(line, comments=True)[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+    assert commands == {"generate-data", "pretrain", "adapt", "sweep", "report"}
 
 
 def test_console_entry_point_help():

@@ -9,6 +9,7 @@ import pytest
 
 from tsadapt.backbone import EncoderConfig, Model, pretrain_source, predict
 from tsadapt.data import (
+    PROFILES,
     DatasetMeta,
     ShiftSpec,
     TimeSeriesBatch,
@@ -50,11 +51,10 @@ def csv_rows(*labels, values=32):
 
 class TestDatasetMeta:
     def test_known_profiles(self):
-        assert DatasetMeta.profile("ucihar").channels == 9
-        assert DatasetMeta.profile("ucihar").classes == 6
-        assert DatasetMeta.profile("ucihar").length == 128
-        assert DatasetMeta.profile("mfd").length == 5120
-        assert DatasetMeta.profile("ssc").classes == 5
+        assert PROFILES == {"ucihar": (9, 6, 128), "mfd": (1, 3, 5120), "ssc": (1, 5, 3000)}
+        for name, shape in PROFILES.items():
+            meta = DatasetMeta(name, *shape)
+            assert (meta.channels, meta.classes, meta.length) == shape
 
     def test_profile_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -150,7 +150,7 @@ class TestContainer:
             f.write(struct.pack("<i", 6))
             f.write(values[0].astype("<f4").tobytes())
         with pytest.raises(LabelRangeError):
-            load_split(path, DatasetMeta.profile("ucihar"))
+            load_split(path, DatasetMeta("ucihar", 9, 6, 128))
 
     def test_dataset_directory_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -335,9 +335,9 @@ class TestGenerator:
         np.testing.assert_array_equal(tupled.values[:, 1], 3.0 * scalar.values[:, 1])
 
     def test_amplitude_needs_one_factor_per_channel(self):
-        spec = ShiftSpec(channels=2, amplitude=(1.0, 2.0, 3.0))
+        # checked when the spec is built, not first when data are generated
         with pytest.raises(ConfigurationError, match="one factor per channel"):
-            generate_shifted_pair(spec, spec, (8, 8), seed=0)
+            ShiftSpec(channels=2, amplitude=(1.0, 2.0, 3.0))
 
     def test_values_finite_and_shaped(self):
         spec = ShiftSpec(channels=3, length=40)
